@@ -78,4 +78,10 @@ var (
 	// the cooldown elapses and a half-open probe succeeds. The request was
 	// never sent.
 	ErrCircuitOpen = errors.New("circuit breaker is open")
+
+	// ErrTreeTooDeep reports a tree received at a trust boundary that
+	// nests deeper than the boundary admits (tree.MaxSExprDepth for the
+	// S-expression decoder). Deep trees are rejected before any recursive
+	// phase can exhaust the goroutine stack, which Go cannot recover from.
+	ErrTreeTooDeep = errors.New("tree nests too deeply")
 )

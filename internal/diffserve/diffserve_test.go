@@ -196,6 +196,40 @@ func TestWireVersionTolerance(t *testing.T) {
 	}
 }
 
+// TestDeepTreeRejected sends a source nested one level past the decoder's
+// depth cap: the server must answer bad_request instead of letting the
+// differ recurse that deep, and keep serving afterwards.
+func TestDeepTreeRejected(t *testing.T) {
+	_, hs := testServer(t, Config{Langs: []string{"exp"}, Workers: 1})
+	deep := strings.Repeat(`(Call "f" `, tree.MaxSExprDepth) + "(Num 1)" + strings.Repeat(")", tree.MaxSExprDepth)
+	post := func(src string) (*http.Response, ErrorResponse) {
+		body, _ := json.Marshal(DiffRequest{
+			SchemaVersion: WireVersion,
+			Lang:          "exp",
+			Source:        TreeInput{SExpr: src},
+			Target:        TreeInput{SExpr: "(Num 2)"},
+		})
+		resp, err := http.Post(hs.URL+"/v1/diff", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST: %v", err)
+		}
+		defer resp.Body.Close()
+		var er ErrorResponse
+		json.NewDecoder(resp.Body).Decode(&er)
+		return resp, er
+	}
+	resp, er := post(deep)
+	if resp.StatusCode != http.StatusBadRequest || er.Error.Kind != ErrKindBadRequest {
+		t.Fatalf("deep source: status %d, error %+v; want 400 bad_request", resp.StatusCode, er.Error)
+	}
+	if !strings.Contains(er.Error.Message, derrors.ErrTreeTooDeep.Error()) {
+		t.Errorf("deep source: message %q does not name the depth limit", er.Error.Message)
+	}
+	if resp, _ := post("(Num 1)"); resp.StatusCode != http.StatusOK {
+		t.Errorf("after a rejected deep tree: status %d, want 200", resp.StatusCode)
+	}
+}
+
 // TestPanicSurvival is the tentpole's resilience requirement: a poisoned
 // request produces a typed panic response, and the daemon keeps serving.
 func TestPanicSurvival(t *testing.T) {

@@ -166,8 +166,10 @@ type ScenarioResult struct {
 	OptimalityGap  float64 `json:"optimality_gap,omitempty"`
 
 	// PhaseNS breaks one repetition's diff time into the four truediff
-	// phases (median over repetitions, nanoseconds summed over Pairs).
-	// Empty for baseline systems, which have no phase decomposition.
+	// phases (median over repetitions, nanoseconds summed over Pairs; for
+	// engine scenarios the sum is divided by Workers, so the phases add up
+	// to at most the repetition's wall time). Empty for baseline systems,
+	// which have no phase decomposition.
 	PhaseNS map[string]float64 `json:"phase_ns,omitempty"`
 	// PhaseAllocBytes is the per-phase heap-allocation profile from one
 	// single-threaded probe repetition (bytes summed over Pairs). Present

@@ -340,9 +340,10 @@ func (m *truediffMeasurer) rep() (int, error) {
 func (m *truediffMeasurer) phases() (telemetry.PhaseTimes, bool) { return m.pt, true }
 
 type engineMeasurer struct {
-	eng   *engine.Engine
-	pairs []engine.Pair
-	pt    telemetry.PhaseTimes
+	eng     *engine.Engine
+	pairs   []engine.Pair
+	workers int
+	pt      telemetry.PhaseTimes
 }
 
 func newEngineMeasurer(h *corpus.History, ps *pairSet, sc Scenario, cfg RunConfig) *engineMeasurer {
@@ -355,7 +356,7 @@ func newEngineMeasurer(h *corpus.History, ps *pairSet, sc Scenario, cfg RunConfi
 	for i := range ps.src {
 		pairs[i] = engine.Pair{Source: ps.src[i], Target: ps.dst[i], Label: ps.changes[i].Path}
 	}
-	return &engineMeasurer{eng: eng, pairs: pairs}
+	return &engineMeasurer{eng: eng, pairs: pairs, workers: max(sc.Workers, 1)}
 }
 
 func (m *engineMeasurer) rep() (int, error) {
@@ -377,7 +378,17 @@ func (m *engineMeasurer) rep() (int, error) {
 	return edits, nil
 }
 
-func (m *engineMeasurer) phases() (telemetry.PhaseTimes, bool) { return m.pt, true }
+// phases reports the per-worker mean: the pairs' phase times summed over
+// all workers, divided by the worker count. Workers diff concurrently, so
+// the plain sum can exceed the repetition's wall time; the mean cannot,
+// because no worker is busy for longer than the wall.
+func (m *engineMeasurer) phases() (telemetry.PhaseTimes, bool) {
+	var pt telemetry.PhaseTimes
+	for p, d := range m.pt {
+		pt[p] = d / time.Duration(m.workers)
+	}
+	return pt, true
+}
 
 type gumtreeMeasurer struct {
 	src, dst []*gumtree.Node

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/derrors"
 	"repro/internal/sig"
 	"repro/internal/uri"
 )
@@ -25,6 +26,17 @@ import (
 // Literals appear in signature order before/between subtrees in any order;
 // decoding reassembles them by the schema's signature. URIs are not part of
 // the format: decoding allocates fresh ones.
+
+// MaxSExprDepth is the deepest nesting DecodeSExpr accepts: a chain of
+// MaxSExprDepth nodes decodes, one more fails with derrors.ErrTreeTooDeep.
+// The decoder is where untrusted trees enter (the diff service decodes
+// request bodies with it), and every diff phase recurses over the tree, so
+// an unbounded depth lets one request overflow the goroutine stack — a
+// fatal error no recover can catch. The limit sits far above the trees the
+// repository builds (a JSON array of n elements nests n deep) and far
+// below that failure: a diff of a chain this deep uses about 4 MiB of
+// stack, where a 2M-node chain overflowed Go's 1 GiB maximum.
+const MaxSExprDepth = 10000
 
 // EncodeSExpr renders the tree as an S-expression.
 func EncodeSExpr(n *Node) string {
@@ -71,7 +83,7 @@ func encodeSExpr(n *Node, b *strings.Builder) {
 // against the schema and allocating fresh URIs.
 func DecodeSExpr(src string, sch *sig.Schema, alloc *uri.Allocator) (*Node, error) {
 	p := &sexprParser{src: src}
-	n, err := p.tree(sch, alloc)
+	n, err := p.tree(sch, alloc, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -97,10 +109,13 @@ func (p *sexprParser) errf(format string, args ...any) error {
 	return fmt.Errorf("tree: sexpr offset %d: %s", p.pos, fmt.Sprintf(format, args...))
 }
 
-func (p *sexprParser) tree(sch *sig.Schema, alloc *uri.Allocator) (*Node, error) {
+func (p *sexprParser) tree(sch *sig.Schema, alloc *uri.Allocator, depth int) (*Node, error) {
 	p.skipSpace()
 	if p.pos >= len(p.src) || p.src[p.pos] != '(' {
 		return nil, p.errf("expected '('")
+	}
+	if depth > MaxSExprDepth {
+		return nil, fmt.Errorf("tree: sexpr offset %d: %w (limit %d)", p.pos, derrors.ErrTreeTooDeep, MaxSExprDepth)
 	}
 	p.pos++
 	p.skipSpace()
@@ -125,7 +140,7 @@ func (p *sexprParser) tree(sch *sig.Schema, alloc *uri.Allocator) (*Node, error)
 			return New(sch, alloc, tag, kids, lits)
 		}
 		if c == '(' {
-			k, err := p.tree(sch, alloc)
+			k, err := p.tree(sch, alloc, depth+1)
 			if err != nil {
 				return nil, err
 			}

@@ -1,10 +1,12 @@
 package tree
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
 
+	"repro/internal/derrors"
 	"repro/internal/sig"
 	"repro/internal/uri"
 )
@@ -106,6 +108,35 @@ func TestSExprDecodeErrors(t *testing.T) {
 	for _, src := range bad {
 		if _, err := DecodeSExpr(src, sch, alloc); err == nil {
 			t.Errorf("decode %q should fail", src)
+		}
+	}
+}
+
+// chainSExpr is a chain of depth nodes: depth-1 nested Calls around a Num.
+func chainSExpr(depth int) string {
+	return strings.Repeat(`(Call "f" `, depth-1) + "(Num 1)" + strings.Repeat(")", depth-1)
+}
+
+// The decoder's depth cap: a chain exactly MaxSExprDepth deep decodes, one
+// level more is rejected with ErrTreeTooDeep, and so is a chain as deep as
+// the 2M-node one that once overflowed the stack in the differ — without
+// the decoder itself recursing that deep.
+func TestSExprDepthCap(t *testing.T) {
+	sch := testSchema()
+	sch.MustDeclare(sig.Sig{Tag: "Call", Kids: []sig.KidSpec{{Link: "a", Sort: "Exp"}},
+		Lits: []sig.LitSpec{{Link: "f", Type: sig.StringLit}}, Result: "Exp"})
+	alloc := uri.NewAllocator()
+
+	n, err := DecodeSExpr(chainSExpr(MaxSExprDepth), sch, alloc)
+	if err != nil {
+		t.Fatalf("chain at the cap: %v", err)
+	}
+	if n.Height() != MaxSExprDepth-1 {
+		t.Errorf("chain at the cap: height %d, want %d", n.Height(), MaxSExprDepth-1)
+	}
+	for _, depth := range []int{MaxSExprDepth + 1, 2 << 20} {
+		if _, err := DecodeSExpr(chainSExpr(depth), sch, alloc); !errors.Is(err, derrors.ErrTreeTooDeep) {
+			t.Errorf("chain of depth %d: err = %v, want ErrTreeTooDeep", depth, err)
 		}
 	}
 }

@@ -43,9 +43,7 @@ func TestLitEqualAgreesWithHash(t *testing.T) {
 	vals := []float64{math.NaN(), math.Inf(1), math.Inf(-1),
 		0, math.Copysign(0, -1), 1, 1.5}
 	hash := func(v float64) string {
-		w := newHasher(SHA256)
-		w.lit(v)
-		return w.sum()
+		return string(appendDigest(nil, SHA256, appendLit(nil, v)))
 	}
 	for _, a := range vals {
 		for _, b := range vals {

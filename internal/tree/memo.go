@@ -1,6 +1,8 @@
 package tree
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"hash/maphash"
 	"math"
@@ -10,15 +12,14 @@ import (
 	"repro/internal/uri"
 )
 
-// This file implements cross-diff digest reuse, the hashing half of the
-// batch engine's amortization strategy (ROADMAP: corpus-scale workloads).
-// Subtree hashing dominates truediff's cost (paper §6 attributes most of
-// the running time to tree preparation), yet across a stream of diffs the
-// same subtrees are hashed over and over: unchanged files recur commit
-// after commit, and idiomatic code repeats whole sub-expressions. Two
-// mechanisms avoid the repeated work:
+// This file holds the pre-image encoders every digest is computed from
+// (appendStructPre, appendLitPre), and three ways to give a node digests
+// without hashing its pre-images afresh. Hashing at construction (finish)
+// encodes each pre-image into a stack buffer and hashes it in one call, so
+// it allocates only the digest string; what remains is the hash function
+// itself, repeated for subtrees that recur across a stream of diffs:
 //
-//   - a DigestMemo caches digests keyed by their exact hash input, so a
+//   - a DigestMemo caches digests keyed by their exact pre-image, so a
 //     subtree whose (tag, kid digests) or (literals, kid digests) were
 //     already hashed — in any earlier tree sharing the memo — reuses the
 //     cached digest instead of recomputing it;
@@ -102,33 +103,19 @@ func (dm *DigestMemo) Len() int {
 	return n
 }
 
-// structKey builds the memo key for n's structure digest: the namespace
-// followed by the exact pre-image of hashStructure (tag and kid structure
-// digests, length-prefixed). Kids must already carry their digests.
-func (dm *DigestMemo) structKey(n *Node) string {
-	b := make([]byte, 0, len(dm.namespace)+2+len(n.Tag)+len(n.Kids)*34)
-	b = append(b, dm.namespace...)
-	b = append(b, 's')
-	b = appendLenStr(b, string(n.Tag))
-	for _, k := range n.Kids {
-		b = appendLenStr(b, k.structHash)
+// memoDigest returns one of n's digests — the structure digest for which
+// 's', the literal digest for 'l' — from the memo when its pre-image was
+// seen before. The key is the namespace, which, and the exact pre-image.
+// Kids must already carry digests.
+func (dm *DigestMemo) memoDigest(which byte, n *Node, kind HashKind) string {
+	key := append([]byte(dm.namespace), which)
+	pre := len(key)
+	if which == 's' {
+		key = appendStructPre(key, n)
+	} else {
+		key = appendLitPre(key, n)
 	}
-	return string(b)
-}
-
-// litKey builds the memo key for n's literal digest (the pre-image of
-// hashLiterals: literal values and kid literal digests).
-func (dm *DigestMemo) litKey(n *Node) string {
-	b := make([]byte, 0, len(dm.namespace)+2+len(n.Lits)*12+len(n.Kids)*34)
-	b = append(b, dm.namespace...)
-	b = append(b, 'l')
-	for _, l := range n.Lits {
-		b = appendLit(b, l)
-	}
-	for _, k := range n.Kids {
-		b = appendLenStr(b, k.litHash)
-	}
-	return string(b)
+	return dm.lookup(string(key), func() string { return string(appendDigest(nil, kind, key[pre:])) })
 }
 
 // CloneMemo is Clone with digest reuse: the copy's digests are drawn from
@@ -150,16 +137,8 @@ func CloneMemo(n *Node, alloc *uri.Allocator, kind HashKind, memo *DigestMemo) *
 		Kids: kids,
 		Lits: append([]any(nil), n.Lits...),
 	}
-	h, sz := 0, 1
-	for _, k := range kids {
-		if k.height+1 > h {
-			h = k.height + 1
-		}
-		sz += k.size
-	}
-	c.height, c.size = h, sz
-	c.structHash = memo.lookup(memo.structKey(c), func() string { return hashStructure(c, kind) })
-	c.litHash = memo.lookup(memo.litKey(c), func() string { return hashLiterals(c, kind) })
+	c.measure()
+	c.digest = memo.memoDigest('s', c, kind) + memo.memoDigest('l', c, kind)
 	return c
 }
 
@@ -174,27 +153,25 @@ func CloneMemo(n *Node, alloc *uri.Allocator, kind HashKind, memo *DigestMemo) *
 func Rebuilt(like *Node, alloc *uri.Allocator, u uri.URI, kids []*Node) *Node {
 	alloc.Reserve(u)
 	return &Node{
-		Tag:        like.Tag,
-		URI:        u,
-		Kids:       kids,
-		Lits:       append([]any(nil), like.Lits...),
-		height:     like.height,
-		size:       like.size,
-		structHash: like.structHash,
-		litHash:    like.litHash,
+		Tag:    like.Tag,
+		URI:    u,
+		Kids:   kids,
+		Lits:   append([]any(nil), like.Lits...),
+		height: like.height,
+		size:   like.size,
+		digest: like.digest,
 	}
 }
 
 // HashedWith reports whether n carries digests of the given kind. A node
 // does not record the algorithm its digests were computed with, but the two
 // kinds have distinct digest sizes (32 bytes for SHA-256, 8 for FNV-64), so
-// the length identifies the kind unambiguously.
+// the length of the combined digest identifies the kind unambiguously.
 func HashedWith(n *Node, kind HashKind) bool {
-	want := 8
 	if kind == SHA256 {
-		want = 32
+		return len(n.digest) == 2*sha256.Size
 	}
-	return len(n.structHash) == want && len(n.litHash) == want
+	return len(n.digest) == 2*8
 }
 
 // CloneKeepDigests deep-copies the tree with fresh URIs from alloc, copying
@@ -209,32 +186,48 @@ func CloneKeepDigests(n *Node, alloc *uri.Allocator) *Node {
 		kids[i] = CloneKeepDigests(k, alloc)
 	}
 	return &Node{
-		Tag:        n.Tag,
-		URI:        alloc.Fresh(),
-		Kids:       kids,
-		Lits:       append([]any(nil), n.Lits...),
-		height:     n.height,
-		size:       n.size,
-		structHash: n.structHash,
-		litHash:    n.litHash,
+		Tag:    n.Tag,
+		URI:    alloc.Fresh(),
+		Kids:   kids,
+		Lits:   append([]any(nil), n.Lits...),
+		height: n.height,
+		size:   n.size,
+		digest: n.digest,
 	}
 }
 
-// appendLenStr appends s length-prefixed, mirroring hasher.str so memo keys
-// are unambiguous concatenations.
+// appendStructPre appends the pre-image of n's structure digest: the tag
+// and the kids' structure digests, each length-prefixed.
+func appendStructPre(b []byte, n *Node) []byte {
+	b = appendLenStr(b, string(n.Tag))
+	for _, k := range n.Kids {
+		b = appendLenStr(b, k.StructHash())
+	}
+	return b
+}
+
+// appendLitPre appends the pre-image of n's literal digest: the literal
+// values, then the kids' literal digests length-prefixed.
+func appendLitPre(b []byte, n *Node) []byte {
+	for _, l := range n.Lits {
+		b = appendLit(b, l)
+	}
+	for _, k := range n.Kids {
+		b = appendLenStr(b, k.LitHash())
+	}
+	return b
+}
+
+// appendLenStr appends s prefixed with its length as a little-endian
+// uint64, so concatenated fields cannot be confused.
 func appendLenStr(b []byte, s string) []byte {
-	b = appendU64(b, uint64(len(s)))
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(s)))
 	return append(b, s...)
 }
 
-func appendU64(b []byte, v uint64) []byte {
-	return append(b,
-		byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-}
-
-// appendLit appends a literal with the same type discriminators as
-// hasher.lit.
+// appendLit appends a literal behind a type discriminator, so that, e.g.,
+// the string "1" and the integer 1 encode differently. Floats encode by
+// bit pattern, which is why LitEqual compares them that way.
 func appendLit(b []byte, v any) []byte {
 	switch x := v.(type) {
 	case string:
@@ -242,17 +235,19 @@ func appendLit(b []byte, v any) []byte {
 		return appendLenStr(b, x)
 	case int64:
 		b = append(b, 'i')
-		return appendU64(b, uint64(x))
+		return binary.LittleEndian.AppendUint64(b, uint64(x))
 	case float64:
 		b = append(b, 'f')
-		return appendU64(b, math.Float64bits(x))
+		return binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
 	case bool:
 		b = append(b, 'b')
 		if x {
-			return appendU64(b, 1)
+			return binary.LittleEndian.AppendUint64(b, 1)
 		}
-		return appendU64(b, 0)
+		return binary.LittleEndian.AppendUint64(b, 0)
 	default:
+		// Construction validates literal types, so this is unreachable for
+		// nodes built through New; encode the formatted value defensively.
 		b = append(b, '?')
 		return appendLenStr(b, fmt.Sprint(v))
 	}

@@ -25,7 +25,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"strings"
 
@@ -56,10 +55,11 @@ type Node struct {
 	Kids []*Node
 	Lits []any
 
-	height     int
-	size       int
-	structHash string
-	litHash    string
+	height int
+	size   int
+	// digest is the structure digest followed by the literal digest, two
+	// halves of equal length (32 bytes each under SHA-256, 8 under FNV-64).
+	digest string
 }
 
 // New validates and constructs a node. kids must match the tag's kid links
@@ -128,9 +128,24 @@ func NewWithURI(sch *sig.Schema, alloc *uri.Allocator, u uri.URI, tag sig.Tag, k
 	return n, nil
 }
 
-// finish computes the cached height, size, and hashes of a node whose Tag,
+// preBufSize is the stack buffer a node's pre-images are encoded into;
+// only a pre-image longer than this (a very wide node or a long string
+// literal) spills to the heap.
+const preBufSize = 512
+
+// finish computes the cached height, size, and digests of a node whose Tag,
 // Kids, and Lits are already set. Kids must already be finished.
 func (n *Node) finish(kind HashKind) {
+	n.measure()
+	var pre [preBufSize]byte
+	var d [2 * sha256.Size]byte
+	ds := appendDigest(d[:0], kind, appendStructPre(pre[:0], n))
+	ds = appendDigest(ds, kind, appendLitPre(pre[:0], n))
+	n.digest = string(ds)
+}
+
+// measure sets the cached height and size from the kids'.
+func (n *Node) measure() {
 	h, sz := 0, 1
 	for _, k := range n.Kids {
 		if k.height+1 > h {
@@ -139,8 +154,21 @@ func (n *Node) finish(kind HashKind) {
 		sz += k.size
 	}
 	n.height, n.size = h, sz
-	n.structHash = hashStructure(n, kind)
-	n.litHash = hashLiterals(n, kind)
+}
+
+// appendDigest appends the kind's digest of the pre-image pre to dst.
+// FNV-64 is FNV-1a inlined, stored little-endian.
+func appendDigest(dst []byte, kind HashKind, pre []byte) []byte {
+	if kind == SHA256 {
+		sum := sha256.Sum256(pre)
+		return append(dst, sum[:]...)
+	}
+	h := uint64(14695981039346656037) // FNV-1a 64-bit offset basis
+	for _, c := range pre {
+		h ^= uint64(c)
+		h *= 1099511628211 // FNV-1a 64-bit prime
+	}
+	return binary.LittleEndian.AppendUint64(dst, h)
 }
 
 // Height returns the node's height: 0 for leaves.
@@ -150,129 +178,23 @@ func (n *Node) Height() int { return n.height }
 func (n *Node) Size() int { return n.size }
 
 // StructHash returns the structure-equivalence hash (ignores literals).
-func (n *Node) StructHash() string { return n.structHash }
+func (n *Node) StructHash() string { return n.digest[:len(n.digest)/2] }
 
 // LitHash returns the literal-equivalence hash (ignores tags).
-func (n *Node) LitHash() string { return n.litHash }
+func (n *Node) LitHash() string { return n.digest[len(n.digest)/2:] }
 
 // ExactHash returns a key under which two trees collide iff they are equal
-// (structurally and literally equivalent).
-func (n *Node) ExactHash() string { return n.structHash + n.litHash }
+// (structurally and literally equivalent): the structure hash followed by
+// the literal hash.
+func (n *Node) ExactHash() string { return n.digest }
 
 // StructurallyEquivalent reports whether n and m have the same shape
 // modulo literal values (paper: n ≃ m).
-func StructurallyEquivalent(n, m *Node) bool { return n.structHash == m.structHash }
+func StructurallyEquivalent(n, m *Node) bool { return n.StructHash() == m.StructHash() }
 
 // LiterallyEquivalent reports whether n and m carry the same literals
 // modulo tags.
-func LiterallyEquivalent(n, m *Node) bool { return n.litHash == m.litHash }
-
-// hashStructure computes H(tag, kids' structure hashes).
-func hashStructure(n *Node, kind HashKind) string {
-	w := newHasher(kind)
-	w.str(string(n.Tag))
-	for _, k := range n.Kids {
-		w.str(k.structHash)
-	}
-	return w.sum()
-}
-
-// hashLiterals computes H(lits, kids' literal hashes).
-func hashLiterals(n *Node, kind HashKind) string {
-	w := newHasher(kind)
-	for _, l := range n.Lits {
-		w.lit(l)
-	}
-	for _, k := range n.Kids {
-		w.str(k.litHash)
-	}
-	return w.sum()
-}
-
-// hasher is a tiny length-prefixed writer over either hash algorithm.
-type hasher struct {
-	sha  bool
-	s    [32]byte
-	shaW interface {
-		Write([]byte) (int, error)
-		Sum([]byte) []byte
-	}
-	fnvW interface {
-		Write([]byte) (int, error)
-		Sum64() uint64
-	}
-	buf [10]byte
-}
-
-func newHasher(kind HashKind) *hasher {
-	h := &hasher{}
-	if kind == SHA256 {
-		h.sha = true
-		h.shaW = sha256.New()
-	} else {
-		h.fnvW = fnv.New64a()
-	}
-	return h
-}
-
-func (h *hasher) write(b []byte) {
-	if h.sha {
-		h.shaW.Write(b)
-	} else {
-		h.fnvW.Write(b)
-	}
-}
-
-func (h *hasher) u64(v uint64) {
-	binary.LittleEndian.PutUint64(h.buf[:8], v)
-	h.write(h.buf[:8])
-}
-
-func (h *hasher) str(s string) {
-	h.u64(uint64(len(s)))
-	h.write([]byte(s))
-}
-
-// lit hashes a literal value with a type discriminator so that, e.g., the
-// string "1" and the integer 1 hash differently.
-func (h *hasher) lit(v any) {
-	switch x := v.(type) {
-	case string:
-		h.buf[9] = 's'
-		h.write(h.buf[9:10])
-		h.str(x)
-	case int64:
-		h.buf[9] = 'i'
-		h.write(h.buf[9:10])
-		h.u64(uint64(x))
-	case float64:
-		h.buf[9] = 'f'
-		h.write(h.buf[9:10])
-		h.u64(math.Float64bits(x))
-	case bool:
-		h.buf[9] = 'b'
-		h.write(h.buf[9:10])
-		if x {
-			h.u64(1)
-		} else {
-			h.u64(0)
-		}
-	default:
-		// Construction validates literal types, so this is unreachable for
-		// nodes built through New; hash the formatted value defensively.
-		h.buf[9] = '?'
-		h.write(h.buf[9:10])
-		h.str(fmt.Sprint(v))
-	}
-}
-
-func (h *hasher) sum() string {
-	if h.sha {
-		return string(h.shaW.Sum(h.s[:0]))
-	}
-	binary.LittleEndian.PutUint64(h.s[:8], h.fnvW.Sum64())
-	return string(h.s[:8])
-}
+func LiterallyEquivalent(n, m *Node) bool { return n.LitHash() == m.LitHash() }
 
 // Walk visits the subtree rooted at n in preorder, including n itself.
 func Walk(n *Node, f func(*Node)) {
@@ -300,7 +222,7 @@ func Equal(a, b *Node) bool {
 	if a == nil || b == nil {
 		return a == b
 	}
-	if a.structHash != b.structHash || a.litHash != b.litHash {
+	if a.digest != b.digest {
 		return false
 	}
 	return deepEqual(a, b)
