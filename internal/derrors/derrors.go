@@ -80,8 +80,9 @@ var (
 	ErrCircuitOpen = errors.New("circuit breaker is open")
 
 	// ErrTreeTooDeep reports a tree received at a trust boundary that
-	// nests deeper than the boundary admits (tree.MaxSExprDepth for the
-	// S-expression decoder). Deep trees are rejected before any recursive
-	// phase can exhaust the goroutine stack, which Go cannot recover from.
+	// nests deeper than the boundary admits: tree.MaxSExprDepth, enforced
+	// by the S-expression decoder and by every diff entry point. Deep trees
+	// are rejected before any recursive phase can exhaust the goroutine
+	// stack, which Go cannot recover from.
 	ErrTreeTooDeep = errors.New("tree nests too deeply")
 )

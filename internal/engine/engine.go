@@ -654,16 +654,8 @@ func (e *Engine) diffPair(ctx context.Context, p Pair) PairResult {
 		// of both trees. A diff loads at most TargetSize fresh nodes, so the
 		// block is always large enough, and blocks never overlap, so a
 		// patched tree's URIs stay unique engine-wide.
-		var max uri.URI
-		walkMax := func(n *tree.Node) {
-			if n.URI > max {
-				max = n.URI
-			}
-		}
-		tree.Walk(p.Source, walkMax)
-		tree.Walk(p.Target, walkMax)
 		alloc = uri.NewAllocator()
-		alloc.Reserve(e.reserveBlock(max, p.Target.Size()))
+		alloc.Reserve(e.reserveBlock(max(p.Source.MaxURI(), p.Target.MaxURI()), p.Target.Size()))
 	}
 
 	var ecol *truediff.ExplainCollector

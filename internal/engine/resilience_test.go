@@ -12,8 +12,10 @@ import (
 	"repro/internal/exp"
 	"repro/internal/faultinject"
 	"repro/internal/mtree"
+	"repro/internal/tree"
 	"repro/internal/truechange"
 	"repro/internal/truediff"
+	"repro/internal/uri"
 )
 
 // TestPanicIsolation injects a panic into one pair of a batch and checks
@@ -273,5 +275,46 @@ func TestResilientBatchMatchesSequential(t *testing.T) {
 		if pr.Result.Script.String() != want.Script.String() {
 			t.Errorf("pair %d script differs from sequential reference", i)
 		}
+	}
+}
+
+// TestHeightCapAtEngineEntry checks that a pair nesting deeper than
+// tree.MaxSExprDepth fails alone with ErrTreeTooDeep — on either side,
+// with or without graceful degradation, since the root-replacement script
+// would recurse just as deep — while a healthy pair in the same batch
+// completes.
+func TestHeightCapAtEngineEntry(t *testing.T) {
+	sch := exp.Schema()
+	alloc := uri.NewAllocator()
+	leaf, err := tree.New(sch, alloc, exp.Num, nil, []any{int64(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deep := leaf
+	for deep.Height()+1 <= tree.MaxSExprDepth {
+		if deep, err = tree.New(sch, alloc, exp.Call, []*tree.Node{deep}, []any{"f"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tps := makePairs(t, 1)
+	for _, fb := range []FallbackMode{FallbackNone, FallbackRootReplace} {
+		e := New(sch, Config{Workers: 2, Fallback: fb})
+		results, err := e.DiffBatch(context.Background(), []Pair{
+			{Source: deep, Target: leaf},
+			{Source: leaf, Target: deep},
+			tps[0].pair,
+		})
+		if err != nil {
+			t.Fatalf("DiffBatch: %v", err)
+		}
+		for i := 0; i < 2; i++ {
+			if !errors.Is(results[i].Err, derrors.ErrTreeTooDeep) {
+				t.Errorf("fallback %v, pair %d: err = %v, want ErrTreeTooDeep", fb, i, results[i].Err)
+			}
+		}
+		if results[2].Err != nil {
+			t.Errorf("fallback %v: healthy pair failed: %v", fb, results[2].Err)
+		}
+		e.Close()
 	}
 }

@@ -492,7 +492,7 @@ func remapFreshCollisions(base *tree.Node, ours, theirs *truechange.Script) *tru
 	}
 	sort.Slice(collide, func(i, j int) bool { return collide[i] < collide[j] })
 	alloc := uri.NewAllocator()
-	tree.Walk(base, func(n *tree.Node) { alloc.Reserve(n.URI) })
+	alloc.Reserve(base.MaxURI())
 	reserveScript(alloc, ours)
 	reserveScript(alloc, theirs)
 	m := make(map[uri.URI]uri.URI, len(collide))

@@ -221,7 +221,7 @@ func Trees(ctx context.Context, sch *sig.Schema, base, ours, theirs *tree.Node, 
 	if alloc == nil {
 		alloc = uri.NewAllocator()
 		for _, t := range []*tree.Node{base, ours, theirs} {
-			tree.Walk(t, func(n *tree.Node) { alloc.Reserve(n.URI) })
+			alloc.Reserve(t.MaxURI())
 		}
 	}
 	d := truediff.NewWithOptions(sch, opt.Diff)

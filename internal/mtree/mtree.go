@@ -20,6 +20,7 @@ package mtree
 
 import (
 	"fmt"
+	"strings"
 	"sync/atomic"
 
 	"repro/internal/derrors"
@@ -501,44 +502,49 @@ func (mt *MTree) equalNode(m *MNode, t *tree.Node) bool {
 	return true
 }
 
-// String renders the attached tree, with ∅ for empty slots.
+// String renders the attached tree, with ∅ for empty slots. It writes
+// into one builder, so rendering costs time linear in the output even for
+// deep trees.
 func (mt *MTree) String() string {
 	top := mt.Top()
 	if top == nil {
 		return "ε"
 	}
-	return mt.nodeString(top)
+	var b strings.Builder
+	mt.writeNode(&b, top)
+	return b.String()
 }
 
-func (mt *MTree) nodeString(n *MNode) string {
+func (mt *MTree) writeNode(b *strings.Builder, n *MNode) {
 	g := mt.sch.Lookup(n.Tag)
-	s := string(n.Tag) + n.URI.String()
+	b.WriteString(string(n.Tag))
+	b.WriteString(n.URI.String())
 	if g == nil {
-		return s + "<?>"
+		b.WriteString("<?>")
+		return
 	}
 	if len(g.Lits) > 0 {
-		s += "{"
+		b.WriteByte('{')
 		for i, spec := range g.Lits {
 			if i > 0 {
-				s += ", "
+				b.WriteString(", ")
 			}
-			s += fmt.Sprintf("%s=%#v", spec.Link, n.Lits[spec.Link])
+			fmt.Fprintf(b, "%s=%#v", spec.Link, n.Lits[spec.Link])
 		}
-		s += "}"
+		b.WriteByte('}')
 	}
 	if len(g.Kids) > 0 {
-		s += "("
+		b.WriteByte('(')
 		for i, spec := range g.Kids {
 			if i > 0 {
-				s += ", "
+				b.WriteString(", ")
 			}
 			if k := n.Kids[spec.Link]; k == nil {
-				s += "∅"
+				b.WriteString("∅")
 			} else {
-				s += mt.nodeString(k)
+				mt.writeNode(b, k)
 			}
 		}
-		s += ")"
+		b.WriteByte(')')
 	}
-	return s
 }

@@ -224,7 +224,7 @@ func (g *PathoGen) Pair(rng *rand.Rand, size, mutations int) Pair {
 	var shape string
 	switch rng.Intn(4) {
 	case 0:
-		src, shape = g.deepChain(rng, size), "deep-chain"
+		src, shape = g.deepChain(rng, 1+2*(size/3)), "deep-chain"
 	case 1:
 		src, shape = g.wideFanout(rng, size), "wide-fanout"
 	case 2:
@@ -245,12 +245,20 @@ func (g *PathoGen) Pair(rng *rand.Rand, size, mutations int) Pair {
 	return Pair{Source: src, Target: dst, Desc: shape + ":" + desc}
 }
 
-// deepChain nests single-element arrays size deep: worst case for
-// recursive traversals and checkpoint polling.
-func (g *PathoGen) deepChain(rng *rand.Rand, size int) *tree.Node {
+// deepChain nests single-element arrays until the tree is depth nodes deep
+// (Height depth-1): worst case for recursive traversals and checkpoint
+// polling, and, past tree.MaxSExprDepth, for the differ's depth cap. Each
+// array adds two levels, so an even depth starts from an empty array
+// instead of a scalar.
+func (g *PathoGen) deepChain(rng *rand.Rand, depth int) *tree.Node {
 	j := g.json
-	cur := j.scalar(rng)
-	for i := 0; i < size/3; i++ {
+	var cur *tree.Node
+	if depth%2 == 1 {
+		cur = j.scalar(rng)
+	} else {
+		cur = j.must(jsonlang.TagArray, []*tree.Node{j.spine(jsonlang.TagElCons, jsonlang.TagElNil, nil)}, nil)
+	}
+	for cur.Height()+1 < depth {
 		spine := j.spine(jsonlang.TagElCons, jsonlang.TagElNil, []*tree.Node{cur})
 		cur = j.must(jsonlang.TagArray, []*tree.Node{spine}, nil)
 	}

@@ -118,7 +118,7 @@ func genTriple(g Generator, rng *rand.Rand, size, mutsOurs, mutsTheirs int) Trip
 		var shape string
 		switch rng.Intn(4) {
 		case 0:
-			base, shape = gen.deepChain(rng, size), "deep-chain"
+			base, shape = gen.deepChain(rng, 1+2*(size/3)), "deep-chain"
 		case 1:
 			base, shape = gen.wideFanout(rng, size), "wide-fanout"
 		case 2:

@@ -8,7 +8,9 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/mtree"
 	"repro/internal/sig"
+	"repro/internal/tree"
 	"repro/internal/truechange"
+	"repro/internal/uri"
 
 	"repro/structdiff"
 )
@@ -23,6 +25,7 @@ const (
 	PropRollback    = "fault-rollback"    // failed patches roll back exactly and re-apply cleanly
 	PropOrdering    = "edit-ordering"     // all negative edits precede all positive edits
 	PropInvert      = "invert-round-trip" // Patch(s); Patch(Invert(s)) is an exact no-op, including NaN/±Inf literals
+	PropDiffReady   = "diff-ready"        // cached MaxURI and schema stamps agree with a full walk
 )
 
 // PropertyError tags an oracle failure with the violated property.
@@ -38,7 +41,7 @@ func propErr(prop, format string, args ...any) error {
 	return &PropertyError{Property: prop, Err: fmt.Errorf(format, args...)}
 }
 
-// CheckPair runs the full six-property oracle on one generated pair
+// CheckPair runs the full seven-property oracle on one generated pair
 // through the public structdiff facade. salt deterministically picks the
 // edit index the rollback property injects its fault at. It returns the
 // emitted script (also on most failures, for reporting and seeding) and
@@ -91,6 +94,16 @@ func CheckPair(sch *sig.Schema, p Pair, salt int64, opts ...structdiff.Option) (
 		return script, propErr(PropConvergence, "Result.Patched differs from target (exact-hash mismatch)")
 	}
 
+	// Property 7 — diff-ready trees: the facts the differ's O(1) prepare
+	// phase reads instead of walking hold for every tree involved.
+	rebuilt, err := mt.ToTree(uri.NewAllocator())
+	if err != nil {
+		return script, propErr(PropConvergence, "patched mtree does not convert back: %w", err)
+	}
+	if err := checkDiffReady(sch, p, res.Patched, rebuilt); err != nil {
+		return script, err
+	}
+
 	// Property 3 — empty self-diff: diffing a tree against itself yields
 	// the empty script.
 	selfRes, err := structdiff.Diff(p.Source, p.Source, o...)
@@ -120,6 +133,39 @@ func CheckPair(sch *sig.Schema, p Pair, salt int64, opts ...structdiff.Option) (
 		return script, err
 	}
 	return script, nil
+}
+
+// checkDiffReady asserts that every tree's cached MaxURI equals the largest
+// URI a full walk finds — for the generated pair, the diff's patched tree
+// (built by tree.Rebuilt), mtree's reconstruction (tree.NewWithURI) and
+// the three copy constructors — that the copies keep the source's schema
+// stamp, and that diffing two trees stamped with sch yields a patched tree
+// stamped with sch, so a chain of diffs keeps its O(1) schema check.
+func checkDiffReady(sch *sig.Schema, p Pair, patched, rebuilt *tree.Node) error {
+	stamped := p.Source.ValidatedAgainst(sch)
+	for _, c := range []struct {
+		name  string
+		n     *tree.Node
+		stamp bool // the stamp the tree must carry
+	}{
+		{"source", p.Source, stamped},
+		{"target", p.Target, p.Target.ValidatedAgainst(sch)},
+		{"patched", patched, stamped && p.Target.ValidatedAgainst(sch)},
+		{"mtree rebuild", rebuilt, true},
+		{"Clone", tree.Clone(p.Source, uri.NewAllocator(), tree.SHA256), stamped},
+		{"CloneMemo", tree.CloneMemo(p.Source, uri.NewAllocator(), tree.SHA256, tree.NewDigestMemo("proptest")), stamped},
+		{"CloneKeepDigests", tree.CloneKeepDigests(p.Source, uri.NewAllocator()), stamped},
+	} {
+		var walked uri.URI
+		tree.Walk(c.n, func(n *tree.Node) { walked = max(walked, n.URI) })
+		if got := c.n.MaxURI(); got != walked {
+			return propErr(PropDiffReady, "%s: MaxURI is %s, a full walk finds %s", c.name, got, walked)
+		}
+		if c.stamp && !c.n.ValidatedAgainst(sch) {
+			return propErr(PropDiffReady, "%s: lost the schema stamp", c.name)
+		}
+	}
+	return nil
 }
 
 // checkInvert asserts Patch(s); Patch(Invert(s)) restores the source tree

@@ -1,12 +1,15 @@
 package proptest
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"math/rand"
 	"testing"
 
 	"repro/internal/tree"
+
+	"repro/structdiff"
 )
 
 // The harness flags. The seed is logged on every run, so any failure line
@@ -72,7 +75,7 @@ func reportFailure(t *testing.T, gen Generator, cfg Config, p Pair, salt int64, 
 
 // TestProperties is the harness's main entry point: for every generator it
 // runs cfg.Iters generated pairs (500 in fast mode, 5000 with
-// -proptest.long) through the six-property oracle via the public
+// -proptest.long) through the seven-property oracle via the public
 // structdiff facade. The run seed is logged so any failure replays
 // exactly.
 func TestProperties(t *testing.T) {
@@ -98,6 +101,53 @@ func TestProperties(t *testing.T) {
 			}
 			t.Logf("checksum=%#016x over %d pairs", run.Checksum(), run.Pairs())
 		})
+	}
+}
+
+// TestDeepChainCrossesCap drives the deep-chain generator to the depth cap
+// and one level past it. A pair of chains exactly tree.MaxSExprDepth deep —
+// the deepest the S-expression decoder admits — passes the full oracle; a
+// chain one level deeper is refused with ErrTreeTooDeep on either side of
+// a diff, by the facade and by an engine, instead of overflowing the
+// stack in a recursive phase.
+func TestDeepChainCrossesCap(t *testing.T) {
+	g := NewPathoGen()
+	sch := g.Schema()
+	rng := rand.New(rand.NewSource(*flagSeed))
+	at := g.deepChain(rng, tree.MaxSExprDepth)
+	if at.Height() != tree.MaxSExprDepth-1 {
+		t.Fatalf("chain at the cap has height %d, want %d", at.Height(), tree.MaxSExprDepth-1)
+	}
+	// Chains differ only in the scalar at the bottom; draw until they do,
+	// so the diff recurses the whole chain to update it.
+	atOther := g.deepChain(rng, tree.MaxSExprDepth)
+	for i := 0; i < 20 && atOther.ExactHash() == at.ExactHash(); i++ {
+		atOther = g.deepChain(rng, tree.MaxSExprDepth)
+	}
+	if _, err := CheckPair(sch, Pair{Source: at, Target: atOther, Desc: "deep-chain:at-cap"}, *flagSeed); err != nil {
+		t.Fatalf("chains at the cap: %v", err)
+	}
+
+	past := g.deepChain(rng, tree.MaxSExprDepth+1)
+	eng, err := structdiff.NewEngine(sch, structdiff.WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	for _, c := range []struct {
+		name     string
+		src, dst *tree.Node
+	}{{"past-cap source", past, at}, {"past-cap target", at, past}} {
+		if _, err := structdiff.Diff(c.src, c.dst, structdiff.WithSchema(sch)); !errors.Is(err, structdiff.ErrTreeTooDeep) {
+			t.Errorf("facade, %s: err = %v, want ErrTreeTooDeep", c.name, err)
+		}
+		res, err := eng.DiffBatch(context.Background(), []structdiff.Pair{{Source: c.src, Target: c.dst}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !errors.Is(res[0].Err, structdiff.ErrTreeTooDeep) {
+			t.Errorf("engine, %s: err = %v, want ErrTreeTooDeep", c.name, res[0].Err)
+		}
 	}
 }
 

@@ -35,7 +35,9 @@ import (
 // fatal error no recover can catch. The limit sits far above the trees the
 // repository builds (a JSON array of n elements nests n deep) and far
 // below that failure: a diff of a chain this deep uses about 4 MiB of
-// stack, where a 2M-node chain overflowed Go's 1 GiB maximum.
+// stack, where a 2M-node chain overflowed Go's 1 GiB maximum. The differ
+// enforces the same limit on trees built in-process, from their cached
+// height.
 const MaxSExprDepth = 10000
 
 // EncodeSExpr renders the tree as an S-expression.

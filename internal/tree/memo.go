@@ -137,7 +137,7 @@ func CloneMemo(n *Node, alloc *uri.Allocator, kind HashKind, memo *DigestMemo) *
 		Kids: kids,
 		Lits: append([]any(nil), n.Lits...),
 	}
-	c.measure()
+	c.measure(n.schema)
 	c.digest = memo.memoDigest('s', c, kind) + memo.memoDigest('l', c, kind)
 	return c
 }
@@ -149,18 +149,19 @@ func CloneMemo(n *Node, alloc *uri.Allocator, kind HashKind, memo *DigestMemo) *
 // like's kids' digests. The differ satisfies this by construction when it
 // reassembles patched trees — each patched subtree is content-identical to
 // its target counterpart — which makes rehashing provably redundant there.
-// The URI is reserved in alloc so future allocations cannot collide.
+// The URI is reserved in alloc so future allocations cannot collide. The
+// result carries like's schema stamp when every kid carries it too.
 func Rebuilt(like *Node, alloc *uri.Allocator, u uri.URI, kids []*Node) *Node {
 	alloc.Reserve(u)
-	return &Node{
+	n := &Node{
 		Tag:    like.Tag,
 		URI:    u,
 		Kids:   kids,
 		Lits:   append([]any(nil), like.Lits...),
-		height: like.height,
-		size:   like.size,
 		digest: like.digest,
 	}
+	n.measure(like.schema)
+	return n
 }
 
 // HashedWith reports whether n carries digests of the given kind. A node
@@ -179,21 +180,22 @@ func HashedWith(n *Node, kind HashKind) bool {
 // structure and literals only — never URIs — so the copy's digests are the
 // original's by construction. Valid only when n already carries digests of
 // the desired kind (check with HashedWith); the engine uses it to admit
-// pre-hashed trees into its store without paying for hashing at all.
+// pre-hashed trees into its store without paying for hashing at all. The
+// copy keeps n's schema stamp.
 func CloneKeepDigests(n *Node, alloc *uri.Allocator) *Node {
 	kids := make([]*Node, len(n.Kids))
 	for i, k := range n.Kids {
 		kids[i] = CloneKeepDigests(k, alloc)
 	}
-	return &Node{
+	c := &Node{
 		Tag:    n.Tag,
 		URI:    alloc.Fresh(),
 		Kids:   kids,
 		Lits:   append([]any(nil), n.Lits...),
-		height: n.height,
-		size:   n.size,
 		digest: n.digest,
 	}
+	c.measure(n.schema)
+	return c
 }
 
 // appendStructPre appends the pre-image of n's structure digest: the tag

@@ -55,11 +55,18 @@ type Node struct {
 	Kids []*Node
 	Lits []any
 
-	height int
-	size   int
 	// digest is the structure digest followed by the literal digest, two
 	// halves of equal length (32 bytes each under SHA-256, 8 under FNV-64).
 	digest string
+	// schema is the schema every node of the subtree was validated against,
+	// or nil when the subtree mixes schemas (see ValidatedAgainst).
+	schema *sig.Schema
+	// maxURI is the largest URI in the subtree.
+	maxURI uri.URI
+	// height and size are int32 so that the node stays within 112 bytes,
+	// one allocation size class below 128.
+	height int32
+	size   int32
 }
 
 // New validates and constructs a node. kids must match the tag's kid links
@@ -110,7 +117,7 @@ func NewHashed(sch *sig.Schema, alloc *uri.Allocator, tag sig.Tag, kids []*Node,
 		Kids: append([]*Node(nil), kids...),
 		Lits: append([]any(nil), lits...),
 	}
-	n.finish(kind)
+	n.finish(kind, sch)
 	return n, nil
 }
 
@@ -124,6 +131,7 @@ func NewWithURI(sch *sig.Schema, alloc *uri.Allocator, u uri.URI, tag sig.Tag, k
 		return nil, err
 	}
 	n.URI = u
+	n.measure(n.schema)
 	alloc.Reserve(u)
 	return n, nil
 }
@@ -133,10 +141,11 @@ func NewWithURI(sch *sig.Schema, alloc *uri.Allocator, u uri.URI, tag sig.Tag, k
 // literal) spills to the heap.
 const preBufSize = 512
 
-// finish computes the cached height, size, and digests of a node whose Tag,
-// Kids, and Lits are already set. Kids must already be finished.
-func (n *Node) finish(kind HashKind) {
-	n.measure()
+// finish computes the cached measures (see measure) and digests of a node
+// whose URI, Tag, Kids, and Lits are already set. Kids must already be
+// finished.
+func (n *Node) finish(kind HashKind, sch *sig.Schema) {
+	n.measure(sch)
 	var pre [preBufSize]byte
 	var d [2 * sha256.Size]byte
 	ds := appendDigest(d[:0], kind, appendStructPre(pre[:0], n))
@@ -144,16 +153,20 @@ func (n *Node) finish(kind HashKind) {
 	n.digest = string(ds)
 }
 
-// measure sets the cached height and size from the kids'.
-func (n *Node) measure() {
-	h, sz := 0, 1
+// measure sets the cached height, size, and largest URI from n's URI and
+// the kids', and stamps n with sch when every kid carries sch's stamp.
+// Callers pass sch only once n itself is known to conform to it.
+func (n *Node) measure(sch *sig.Schema) {
+	h, sz, m := int32(0), int32(1), n.URI
 	for _, k := range n.Kids {
-		if k.height+1 > h {
-			h = k.height + 1
-		}
+		h = max(h, k.height+1)
 		sz += k.size
+		m = max(m, k.maxURI)
+		if k.schema != sch {
+			sch = nil
+		}
 	}
-	n.height, n.size = h, sz
+	n.height, n.size, n.maxURI, n.schema = h, sz, m, sch
 }
 
 // appendDigest appends the kind's digest of the pre-image pre to dst.
@@ -172,10 +185,23 @@ func appendDigest(dst []byte, kind HashKind, pre []byte) []byte {
 }
 
 // Height returns the node's height: 0 for leaves.
-func (n *Node) Height() int { return n.height }
+func (n *Node) Height() int { return int(n.height) }
 
 // Size returns the number of nodes in the subtree rooted at n.
-func (n *Node) Size() int { return n.size }
+func (n *Node) Size() int { return int(n.size) }
+
+// MaxURI returns the largest URI in the subtree rooted at n, so an
+// allocator that reserves it can never collide with the subtree.
+func (n *Node) MaxURI() uri.URI { return n.maxURI }
+
+// ValidatedAgainst reports whether every node of the subtree was validated
+// against exactly sch — the same *sig.Schema, not an equal one — when it
+// was constructed. Schemas are append-only, so a tag declared then is
+// declared still. A subtree assembled from nodes of different schemas
+// reports false for every schema.
+func (n *Node) ValidatedAgainst(sch *sig.Schema) bool {
+	return sch != nil && n.schema == sch
+}
 
 // StructHash returns the structure-equivalence hash (ignores literals).
 func (n *Node) StructHash() string { return n.digest[:len(n.digest)/2] }
@@ -213,7 +239,7 @@ func WalkPost(n *Node, f func(*Node)) {
 }
 
 // Count returns the number of nodes in the tree (same as n.Size()).
-func Count(n *Node) int { return n.size }
+func Count(n *Node) int { return n.Size() }
 
 // Equal reports deep structural and literal equality, ignoring URIs. It
 // compares hashes first and falls back to a full traversal only when the
@@ -263,8 +289,9 @@ func LitEqual(a, b any) bool {
 }
 
 // Clone deep-copies the tree, assigning fresh URIs from alloc and
-// recomputing hashes with the given algorithm. It is used by benchmarks to
-// reconstruct trees before each diff so hashing cost is measured.
+// recomputing hashes with the given algorithm. The copy keeps n's schema
+// stamp. It is used by benchmarks to reconstruct trees before each diff so
+// hashing cost is measured.
 func Clone(n *Node, alloc *uri.Allocator, kind HashKind) *Node {
 	kids := make([]*Node, len(n.Kids))
 	for i, k := range n.Kids {
@@ -276,7 +303,7 @@ func Clone(n *Node, alloc *uri.Allocator, kind HashKind) *Node {
 		Kids: kids,
 		Lits: append([]any(nil), n.Lits...),
 	}
-	c.finish(kind)
+	c.finish(kind, n.schema)
 	return c
 }
 

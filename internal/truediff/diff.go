@@ -159,7 +159,9 @@ type Result struct {
 // subtree registry, the assignment map, the edit buffer, and the selection
 // heap. Allocating these dominates the fixed cost of small diffs, so
 // high-throughput callers (the batch engine's workers) recycle one Scratch
-// across many diffs instead of allocating fresh maps each time.
+// across many diffs instead of allocating fresh maps each time. Recycling
+// clears a fixed number of maps (the assignment map and the registry's
+// three) and truncates slices, however many shares the last diff used.
 //
 // A Scratch is not safe for concurrent use; use one per goroutine. Reuse
 // is invisible in the output: a recycled Scratch produces scripts
@@ -227,8 +229,9 @@ func (d *Differ) DiffScratch(source, target *tree.Node, alloc *uri.Allocator, s 
 
 // DiffScratchChecked is DiffScratch with a cooperative abort hook: cp (when
 // non-nil) is polled every Options.CheckpointEvery processed nodes across
-// all four phases — schema validation walks, share assignment, candidate
-// selection, and edit emission — and its error, if any, aborts the diff
+// all four phases — the schema walk of a tree not stamped with the
+// differ's schema, share assignment, candidate selection, and edit
+// emission — and its error, if any, aborts the diff
 // immediately and is returned wrapped. The scratch is safe to recycle after
 // an abort (it is reset on entry to every run); the partially built script
 // is discarded.
@@ -270,21 +273,23 @@ func (d *Differ) DiffScratchProfiled(ctx context.Context, source, target *tree.N
 	defer endTask()
 
 	// Step 1 happened at tree construction: every node carries its
-	// structure and literal hashes; the per-diff residue (allocator
-	// derivation, schema validation, scratch reset) is the prepare phase.
+	// structure and literal hashes, and the height, largest URI and schema
+	// stamp that make the prepare phase (input checks, allocator
+	// derivation, scratch reset) O(1) for trees of the differ's schema.
 	var prepErr error
 	inPhase(telemetry.PhasePrepare, func() {
+		if prepErr = d.checkInput(source, r); prepErr != nil {
+			return
+		}
+		if prepErr = d.checkInput(target, r); prepErr != nil {
+			return
+		}
 		if alloc == nil {
 			alloc = uri.NewAllocator()
-			tree.Walk(source, func(n *tree.Node) { alloc.Reserve(n.URI) })
-		}
-		if prepErr = d.checkSchema(source, r); prepErr != nil {
-			return
-		}
-		if prepErr = d.checkSchema(target, r); prepErr != nil {
-			return
+			alloc.Reserve(source.MaxURI())
 		}
 		s.Reset()
+		s.reg.preferring = d.opts.Equiv == StructuralWithLiteralPreference
 	})
 	if prepErr != nil {
 		return nil, prepErr
@@ -340,11 +345,23 @@ func (s *Scratch) phase(tr telemetry.Tracer, p telemetry.Phase, start time.Time,
 	*mark = now
 }
 
-// checkSchema verifies every tag of the tree is declared in the differ's
-// schema, so trees built against a different schema fail cleanly. A non-nil
-// r threads the run's checkpoint through the validation walk, so even the
-// prepare phase of a checked diff honours cancellation.
-func (d *Differ) checkSchema(t *tree.Node, r *run) error {
+// checkInput admits t as a diff input. A tree nesting deeper than
+// tree.MaxSExprDepth, the depth the S-expression decoder admits, fails
+// with ErrTreeTooDeep before any phase recurses over it: a stack overflow
+// is fatal, not a recoverable panic. Every tag must be declared in the
+// differ's schema, so trees built against a different schema fail cleanly
+// with ErrSchemaMismatch. Both checks are O(1) for a tree validated against
+// the differ's own *sig.Schema at construction (tree.Node.ValidatedAgainst);
+// any other tree gets the full walk. A non-nil r threads the run's
+// checkpoint through that walk, so even the prepare phase of a checked diff
+// honours cancellation.
+func (d *Differ) checkInput(t *tree.Node, r *run) error {
+	if depth := t.Height() + 1; depth > tree.MaxSExprDepth {
+		return fmt.Errorf("truediff: %w: depth %d exceeds %d", derrors.ErrTreeTooDeep, depth, tree.MaxSExprDepth)
+	}
+	if t.ValidatedAgainst(d.sch) {
+		return nil
+	}
 	var bad sig.Tag
 	tree.Walk(t, func(n *tree.Node) {
 		if r != nil {
@@ -368,7 +385,7 @@ func (d *Differ) InitialScript(target *tree.Node, alloc *uri.Allocator) (*Result
 	if target == nil {
 		return nil, fmt.Errorf("truediff: %w", derrors.ErrNilTree)
 	}
-	if err := d.checkSchema(target, nil); err != nil {
+	if err := d.checkInput(target, nil); err != nil {
 		return nil, err
 	}
 	if alloc == nil {
@@ -453,12 +470,14 @@ func (r *run) unassign(src, dst *tree.Node) {
 // subtree its share. Equivalent pairs at matching positions are assigned
 // preemptively; along spines of equal tags only the spine node itself
 // becomes available, while fully mismatched source subtrees register all
-// their nodes as available resources (paper §4.2).
+// their nodes as available resources (paper §4.2). A share comes into
+// being when its first source subtree registers: a target subtree whose
+// class has no share has no candidate, exactly as with an empty share, so
+// target subtrees need no share of their own.
 func (r *run) assignShares(src, dst *tree.Node) {
 	r.tick()
-	ss := r.s.reg.shareFor(r.candidateKey(src))
-	ds := r.s.reg.shareFor(r.candidateKey(dst))
-	if ss == ds {
+	key := r.candidateKey(src)
+	if key == r.candidateKey(dst) {
 		r.assign(src, dst) // preemptive: reuse in place, stop recursing
 		if r.explain != nil {
 			r.explain.preassigned(r, dst)
@@ -466,7 +485,7 @@ func (r *run) assignShares(src, dst *tree.Node) {
 		return
 	}
 	if src.Tag == dst.Tag {
-		ss.registerAvailable(src, r.preferKey(src))
+		r.s.reg.register(r.s.reg.shareFor(key), src)
 		for i := range src.Kids {
 			r.assignShares(src.Kids[i], dst.Kids[i])
 		}
@@ -474,11 +493,7 @@ func (r *run) assignShares(src, dst *tree.Node) {
 	}
 	tree.Walk(src, func(n *tree.Node) {
 		r.tick()
-		r.s.reg.shareFor(r.candidateKey(n)).registerAvailable(n, r.preferKey(n))
-	})
-	tree.Walk(dst, func(n *tree.Node) {
-		r.tick()
-		r.s.reg.shareFor(r.candidateKey(n))
+		r.s.reg.register(r.s.reg.shareFor(r.candidateKey(n)), n)
 	})
 }
 
@@ -588,11 +603,11 @@ func (r *run) selectTrees(trees []*tree.Node, preferred bool) []*tree.Node {
 		var src *tree.Node
 		var scanned, avail int
 		if s != nil {
-			avail = len(s.member)
+			avail = s.avail
 			if preferred {
-				src, scanned = s.takePreferred(r.preferKey(n))
+				src, scanned = r.s.reg.takePreferred(n.ExactHash())
 			} else {
-				src, scanned = s.takeAny()
+				src, scanned = r.s.reg.takeAny(s)
 			}
 		}
 		if x := r.explain; x != nil {
@@ -631,9 +646,7 @@ func (r *run) selectTrees(trees []*tree.Node, preferred bool) []*tree.Node {
 func (r *run) deregisterSubtree(src, dst *tree.Node) {
 	for _, kid := range src.Kids {
 		tree.Walk(kid, func(n *tree.Node) {
-			if s := r.s.reg.lookup(r.candidateKey(n)); s != nil {
-				s.removeAvailable(n)
-			}
+			r.s.reg.remove(n)
 			if partner := r.s.assigned[n]; partner != nil {
 				if r.explain != nil {
 					r.explain.revoke(partner)
@@ -646,7 +659,7 @@ func (r *run) deregisterSubtree(src, dst *tree.Node) {
 		tree.Walk(kid, func(n *tree.Node) {
 			if partner := r.s.assigned[n]; partner != nil {
 				r.unassign(partner, n)
-				r.s.reg.shareFor(r.candidateKey(partner)).registerAvailable(partner, r.preferKey(partner))
+				r.s.reg.register(r.s.reg.shareFor(r.candidateKey(partner)), partner)
 			}
 		})
 	}

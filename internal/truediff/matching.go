@@ -41,12 +41,12 @@ func (d *Differ) DiffWithMatching(src, dst *tree.Node, matches []MatchPair, allo
 	}
 	if alloc == nil {
 		alloc = uri.NewAllocator()
-		tree.Walk(src, func(n *tree.Node) { alloc.Reserve(n.URI) })
+		alloc.Reserve(src.MaxURI())
 	}
-	if err := d.checkSchema(src, nil); err != nil {
+	if err := d.checkInput(src, nil); err != nil {
 		return nil, err
 	}
-	if err := d.checkSchema(dst, nil); err != nil {
+	if err := d.checkInput(dst, nil); err != nil {
 		return nil, err
 	}
 	inSrc := make(map[*tree.Node]bool, src.Size())

@@ -8,35 +8,49 @@ import (
 	"repro/internal/tree"
 )
 
+// newPreferringShare returns a registry with its preference index on and
+// its share for key k.
+func newPreferringShare() (*registry, *share) {
+	r := newRegistry()
+	r.preferring = true
+	return &r, r.shareFor("k")
+}
+
 func TestShareRegisterAndTake(t *testing.T) {
 	b := exp.NewBuilder()
 	n1 := b.MustN(exp.Num, 1)
 	n2 := b.MustN(exp.Num, 2)
 	n3 := b.MustN(exp.Num, 1)
 
-	s := newShare("k")
-	s.registerAvailable(n1, n1.LitHash())
-	s.registerAvailable(n2, n2.LitHash())
-	s.registerAvailable(n3, n3.LitHash())
-	s.registerAvailable(n1, n1.LitHash()) // duplicate registration is a no-op
+	r, s := newPreferringShare()
+	r.register(s, n1)
+	r.register(s, n2)
+	r.register(s, n3)
+	r.register(s, n1) // duplicate registration is a no-op
+	if s.avail != 3 {
+		t.Errorf("avail = %d, want 3", s.avail)
+	}
 
 	// Preferred lookup finds the exact-literal candidate.
-	if got, _ := s.takePreferred(n2.LitHash()); got != n2 {
+	if got, _ := r.takePreferred(n2.ExactHash()); got != n2 {
 		t.Errorf("takePreferred = %v, want n2", got)
 	}
 	// n2 is consumed: a second preferred take for its key fails.
-	if got, _ := s.takePreferred(n2.LitHash()); got != nil {
+	if got, _ := r.takePreferred(n2.ExactHash()); got != nil {
 		t.Errorf("consumed candidate returned again: %v", got)
 	}
 	// takeAny pops in registration order, skipping consumed entries.
-	if got, _ := s.takeAny(); got != n1 {
+	if got, _ := r.takeAny(s); got != n1 {
 		t.Errorf("takeAny = %v, want n1", got)
 	}
-	if got, _ := s.takeAny(); got != n3 {
+	if got, _ := r.takeAny(s); got != n3 {
 		t.Errorf("takeAny = %v, want n3", got)
 	}
-	if got, _ := s.takeAny(); got != nil {
+	if got, _ := r.takeAny(s); got != nil {
 		t.Errorf("exhausted share returned %v", got)
+	}
+	if s.avail != 0 {
+		t.Errorf("avail = %d after exhaustion, want 0", s.avail)
 	}
 }
 
@@ -44,14 +58,14 @@ func TestShareRemoveAvailable(t *testing.T) {
 	b := exp.NewBuilder()
 	n1 := b.MustN(exp.Num, 7)
 	n2 := b.MustN(exp.Num, 7)
-	s := newShare("k")
-	s.registerAvailable(n1, n1.LitHash())
-	s.registerAvailable(n2, n2.LitHash())
-	s.removeAvailable(n1)
-	if got, _ := s.takePreferred(n1.LitHash()); got != n2 {
+	r, s := newPreferringShare()
+	r.register(s, n1)
+	r.register(s, n2)
+	r.remove(n1)
+	if got, _ := r.takePreferred(n1.ExactHash()); got != n2 {
 		t.Errorf("preferred take after removal = %v, want n2", got)
 	}
-	if got, _ := s.takeAny(); got != nil {
+	if got, _ := r.takeAny(s); got != nil {
 		t.Errorf("take after exhaustion = %v", got)
 	}
 }
@@ -61,11 +75,11 @@ func TestShareReregistration(t *testing.T) {
 	// of preemptive assignments); lazy deletion must not hide it.
 	b := exp.NewBuilder()
 	n := b.MustN(exp.Var, "x")
-	s := newShare("k")
-	s.registerAvailable(n, n.LitHash())
-	s.removeAvailable(n)
-	s.registerAvailable(n, n.LitHash())
-	if got, _ := s.takeAny(); got != n {
+	r, s := newPreferringShare()
+	r.register(s, n)
+	r.remove(n)
+	r.register(s, n)
+	if got, _ := r.takeAny(s); got != n {
 		t.Errorf("re-registered node not available: %v", got)
 	}
 }

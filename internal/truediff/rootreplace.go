@@ -29,12 +29,12 @@ func (d *Differ) RootReplace(source, target *tree.Node, alloc *uri.Allocator) (*
 	}
 	if alloc == nil {
 		alloc = uri.NewAllocator()
-		tree.Walk(source, func(n *tree.Node) { alloc.Reserve(n.URI) })
+		alloc.Reserve(source.MaxURI())
 	}
-	if err := d.checkSchema(source, nil); err != nil {
+	if err := d.checkInput(source, nil); err != nil {
 		return nil, err
 	}
-	if err := d.checkSchema(target, nil); err != nil {
+	if err := d.checkInput(target, nil); err != nil {
 		return nil, err
 	}
 	r := &run{sch: d.sch, opts: d.opts, s: NewScratch(), alloc: alloc}

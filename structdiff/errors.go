@@ -24,6 +24,10 @@ var (
 	// ErrNonCompliantScript reports a script whose edits do not match the
 	// tree they are applied to (Definition 3.5).
 	ErrNonCompliantScript = derrors.ErrNonCompliantScript
+	// ErrTreeTooDeep reports a tree nesting deeper than the 10 000 levels
+	// the S-expression decoder admits. Every diff entry point enforces the
+	// same limit, so no recursive phase can overflow the stack.
+	ErrTreeTooDeep = derrors.ErrTreeTooDeep
 	// ErrBadMatching reports a DiffWithMatching matching that is not
 	// one-to-one.
 	ErrBadMatching = derrors.ErrBadMatching

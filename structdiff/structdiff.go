@@ -347,7 +347,7 @@ func PatchContext(ctx context.Context, t *Node, s *Script, opts ...Option) (*Nod
 	alloc := cfg.alloc
 	if alloc == nil {
 		alloc = uri.NewAllocator()
-		tree.Walk(t, func(n *Node) { alloc.Reserve(n.URI) })
+		alloc.Reserve(t.MaxURI())
 	}
 	return mt.ToTree(alloc)
 }
