@@ -22,6 +22,7 @@ import (
 	"repro/internal/sig"
 	"repro/internal/telemetry"
 	"repro/internal/tree"
+	"repro/internal/truediff"
 	"repro/internal/uri"
 )
 
@@ -194,8 +195,8 @@ func NewServer(cfg Config) (*Server, error) {
 		}
 		ecfg := engine.Config{
 			Workers:           cfg.Workers,
+			Diff:              truediff.Options{CheckpointEvery: cfg.CheckpointEvery},
 			DiffTimeout:       cfg.DiffTimeout,
-			CheckpointEvery:   cfg.CheckpointEvery,
 			SlowDiffThreshold: cfg.SlowDiffThreshold,
 			Spans:             cfg.Spans,
 			Logger:            cfg.Logger,

@@ -25,7 +25,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"log"
 	"log/slog"
 	"runtime"
 	"runtime/pprof"
@@ -51,7 +50,8 @@ type Config struct {
 	// negative selects runtime.GOMAXPROCS(0).
 	Workers int
 	// Diff configures the underlying differ (equivalence mode, selection
-	// order, literal-mismatch handling).
+	// order, literal-mismatch handling, checkpoint cadence). Its Explain
+	// field is set from Config.Explain.
 	Diff truediff.Options
 	// Hash selects the subtree hash used by Ingest. The zero value is
 	// tree.SHA256, the paper's choice.
@@ -62,7 +62,8 @@ type Config struct {
 
 	// Explain, when true, collects per-edit provenance for every diff: each
 	// successful PairResult carries a truediff.Explanation whose records are
-	// index-aligned with the script's edits (see truediff.Options.Explain).
+	// index-aligned with the script's edits (see truediff.Options.Explain),
+	// in both PairResult.Explain and Result.Explain.
 	// Fallback (root-replacement) results carry no explanation — the real
 	// diff never finished. Off (the default), the diff path pays nothing.
 	Explain bool
@@ -75,35 +76,27 @@ type Config struct {
 	// (ChangedNodes, ReuseRatio, ratios) are always computed.
 	QualityBaseline int
 
-	// Tracer, when non-nil, receives span events for every diff the engine
-	// runs (BeginDiff, one Phase per truediff step, EndDiff). With
-	// Workers > 1 the tracer observes diffs from several goroutines at
-	// once, so it must be concurrency-safe; per-diff ordering holds within
-	// each worker. Equivalent to setting Diff.Tracer, which it overrides.
-	Tracer telemetry.Tracer
 	// Observer, when non-nil, is called synchronously after every diff —
 	// successful, failed, or short-circuited — with that diff's event.
 	// It runs on worker goroutines: keep it cheap and concurrency-safe
 	// (telemetry.TraceWriter is; so is recording into histograms).
 	Observer func(DiffEvent)
 	// SlowDiffThreshold enables slow-diff logging: completed diffs whose
-	// wall time meets or exceeds it are reported through SlowDiffLog. Zero
-	// disables the check.
+	// wall time meets or exceeds it are counted (Snapshot.SlowDiffs) and
+	// logged at warn level through Logger. Zero disables the check.
 	SlowDiffThreshold time.Duration
-	// SlowDiffLog overrides where slow diffs are reported. Nil logs one
-	// line per slow diff via Logger when set, else the standard library
-	// logger.
-	SlowDiffLog func(DiffEvent)
 	// Spans, when non-nil, turns on distributed tracing: every diff runs
-	// under an "engine.diff" span (parented on Pair.Trace when valid) and
-	// the four truediff phases are synthesized into child spans. Nil (the
-	// default) costs nothing on the diff path beyond a pointer comparison.
+	// under an "engine.diff" span (parented on Pair.Trace when valid), and
+	// a diff the differ completes gets the four truediff phase spans as
+	// children, rebuilt from its phase record (telemetry.PhaseSpans). Nil
+	// (the default) costs nothing on the diff path beyond a pointer
+	// comparison.
 	Spans telemetry.SpanSink
-	// Logger, when non-nil, receives structured records for noteworthy
-	// diffs — failures (error level), fallbacks and slow diffs (warn) —
-	// with trace_id/span_id correlation when the pair carried a trace.
-	// Routine successful diffs are never logged; use Observer or Tracer
-	// for those.
+	// Logger receives structured records for noteworthy diffs — failures
+	// (error level), fallbacks and slow diffs (warn) — with
+	// trace_id/span_id correlation when the pair carried a trace. Routine
+	// successful diffs are never logged; use Observer for those. Nil logs
+	// slow diffs through slog.Default() and drops the other records.
 	Logger *slog.Logger
 	// SLO parameterizes the engine's rolling-window objective accounting
 	// (availability = non-error diffs; latency objective on diff wall
@@ -117,11 +110,6 @@ type Config struct {
 	// when the diff starts (not when the batch does), so large batches
 	// don't starve late pairs. Zero disables the per-diff deadline.
 	DiffTimeout time.Duration
-	// CheckpointEvery overrides how many nodes a diff processes between
-	// cancellation-checkpoint polls (truediff.Options.CheckpointEvery).
-	// Zero selects truediff.DefaultCheckpointEvery. Equivalent to setting
-	// Diff.CheckpointEvery, which it overrides when positive.
-	CheckpointEvery int
 	// Fallback selects the graceful-degradation policy for diffs that
 	// panic, overrun DiffTimeout, or emit an ill-typed script. See
 	// FallbackMode.
@@ -250,12 +238,7 @@ func (e *Engine) reserveBlock(min uri.URI, n int) uri.URI {
 
 // New returns an Engine for trees of the given schema.
 func New(sch *sig.Schema, cfg Config) *Engine {
-	if cfg.Tracer != nil {
-		cfg.Diff.Tracer = cfg.Tracer
-	}
-	if cfg.CheckpointEvery > 0 {
-		cfg.Diff.CheckpointEvery = cfg.CheckpointEvery
-	}
+	cfg.Diff.Explain = cfg.Explain
 	e := &Engine{
 		sch:    sch,
 		differ: truediff.NewWithOptions(sch, cfg.Diff),
@@ -444,8 +427,8 @@ type PairResult struct {
 	Result *truediff.Result
 	Stats  DiffStats
 	// Explain is the per-edit provenance of the script, index-aligned with
-	// Result.Script.Edits. Non-nil only when Config.Explain is set and the
-	// diff completed without fallback.
+	// Result.Script.Edits (the same record as Result.Explain). Non-nil only
+	// when Config.Explain is set and the diff completed without fallback.
 	Explain *truediff.Explanation
 	Err     error
 }
@@ -553,10 +536,10 @@ feed:
 }
 
 // diffOne wraps diffPair with the per-diff observability shell: the
-// "engine.diff" span (when Config.Spans is set) with phase child spans
-// synthesized via a context-carried tracer, and the SLO observation. With
-// tracing off the extra cost is two clock reads and a handful of atomic
-// adds.
+// "engine.diff" span (when Config.Spans is set), whose phase children
+// diffPair rebuilds from the differ's record, and the SLO observation.
+// With tracing off the extra cost is two clock reads and a handful of
+// atomic adds.
 func (e *Engine) diffOne(ctx context.Context, p Pair) PairResult {
 	// Labels are caller-supplied (e.g. by remote diffserve clients) and
 	// fan out to every observability surface — span attributes, pprof
@@ -569,7 +552,6 @@ func (e *Engine) diffOne(ctx context.Context, p Pair) PairResult {
 		// Children (phase spans, the observer's trace record) hang off the
 		// engine span, not the caller's request span.
 		p.Trace = span.Context()
-		ctx = telemetry.ContextWithTracer(ctx, telemetry.PhaseSpans(e.cfg.Spans, p.Trace))
 	}
 	pr := e.diffPair(ctx, p)
 	wall := time.Since(start)
@@ -628,20 +610,17 @@ func (e *Engine) diffPair(ctx context.Context, p Pair) PairResult {
 		e.h.nodes.Record(int64(st.SourceSize))
 		e.h.nodes.Record(int64(st.TargetSize))
 		e.recordQuality(st)
-		pr := PairResult{
-			Result: &truediff.Result{Script: &truechange.Script{}, Patched: p.Source},
-			Stats:  st,
-		}
+		res := &truediff.Result{Script: &truechange.Script{}, Patched: p.Source}
 		if e.cfg.Explain {
 			// An empty script explains itself; the empty record set keeps
 			// the index alignment invariant for downstream consumers.
-			pr.Explain = &truediff.Explanation{
+			res.Explain = &truediff.Explanation{
 				SourceSize: st.SourceSize,
 				TargetSize: st.TargetSize,
 				Edits:      []truediff.EditProvenance{},
 			}
 		}
-		return e.finish(p, pr)
+		return e.finish(p, PairResult{Result: res, Stats: st, Explain: res.Explain})
 	}
 
 	e.m.poolGets.Add(1)
@@ -658,14 +637,6 @@ func (e *Engine) diffPair(ctx context.Context, p Pair) PairResult {
 		alloc.Reserve(e.reserveBlock(max(p.Source.MaxURI(), p.Target.MaxURI()), p.Target.Size()))
 	}
 
-	var ecol *truediff.ExplainCollector
-	if e.cfg.Explain {
-		// The collector is touched only by this worker goroutine: the
-		// differ delivers into it synchronously at the end of the diff.
-		ecol = &truediff.ExplainCollector{}
-		ctx = truediff.ContextWithExplain(ctx, ecol)
-	}
-
 	start := time.Now()
 	var res *truediff.Result
 	var err error
@@ -678,6 +649,10 @@ func (e *Engine) diffPair(ctx context.Context, p Pair) PairResult {
 		})
 	} else {
 		res, err = e.runDiff(ctx, p, alloc, s)
+	}
+	if err == nil && e.cfg.Spans != nil {
+		// p.Trace is the engine.diff span diffOne opened.
+		telemetry.PhaseSpans(e.cfg.Spans, p.Trace, time.Now(), s.PhaseTimes())
 	}
 	if err == nil {
 		err = e.wellTypedOut(res)
@@ -731,11 +706,7 @@ func (e *Engine) diffPair(ctx context.Context, p Pair) PairResult {
 	e.h.nodes.Record(int64(st.SourceSize))
 	e.h.nodes.Record(int64(st.TargetSize))
 	e.recordQuality(st)
-	pr := PairResult{Result: res, Stats: st}
-	if ecol != nil && !fellBack {
-		pr.Explain = ecol.Last
-	}
-	return e.finish(p, pr)
+	return e.finish(p, PairResult{Result: res, Stats: st, Explain: res.Explain})
 }
 
 // recordQuality feeds one diff's conciseness metrics into the quality
@@ -776,17 +747,8 @@ func (e *Engine) finish(p Pair, pr PairResult) PairResult {
 	}
 	ev := DiffEvent{Label: p.Label, Trace: p.Trace, Stats: pr.Stats, Err: pr.Err}
 	if slow {
-		switch {
-		case e.cfg.SlowDiffLog != nil:
-			e.cfg.SlowDiffLog(ev)
-		case e.cfg.Logger != nil:
-			e.logEvent(slog.LevelWarn, "slow diff", ev,
-				slog.Duration("threshold", e.cfg.SlowDiffThreshold))
-		default:
-			log.Printf("structdiff: slow diff %s: wall %v (threshold %v), %d+%d nodes, %d edits, phases %v",
-				labelOr(ev.Label, "<unlabelled>"), ev.Stats.Wall, e.cfg.SlowDiffThreshold,
-				ev.Stats.SourceSize, ev.Stats.TargetSize, ev.Stats.Edits, ev.Stats.Phases)
-		}
+		e.logEvent(slog.LevelWarn, "slow diff", ev,
+			slog.Duration("threshold", e.cfg.SlowDiffThreshold))
 	}
 	if e.cfg.Logger != nil {
 		if ev.Err != nil {
@@ -819,12 +781,9 @@ func (e *Engine) logEvent(level slog.Level, msg string, ev DiffEvent, extra ...s
 		attrs = append(attrs, slog.String("err", ev.Err.Error()))
 	}
 	attrs = append(attrs, extra...)
-	e.cfg.Logger.LogAttrs(context.Background(), level, msg, attrs...)
-}
-
-func labelOr(s, fallback string) string {
-	if s == "" {
-		return fallback
+	logger := e.cfg.Logger
+	if logger == nil {
+		logger = slog.Default()
 	}
-	return s
+	logger.LogAttrs(context.Background(), level, msg, attrs...)
 }

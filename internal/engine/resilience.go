@@ -91,8 +91,8 @@ func (e *Engine) checkpoint(ctx context.Context) truediff.Checkpoint {
 }
 
 // runDiff executes the diff algorithm for one pair inside the engine's
-// panic-isolation boundary: a panic anywhere under it — the differ, a
-// tracer callback, an injected fault — is recovered into a *PanicError
+// panic-isolation boundary: a panic anywhere under it — the differ, its
+// OnPhase hook, an injected fault — is recovered into a *PanicError
 // instead of unwinding the worker goroutine, so one poisoned pair cannot
 // take down a batch. The pooled scratch is safe to recycle afterwards
 // because every diff begins by resetting it.
@@ -145,6 +145,8 @@ func (e *Engine) fallback(p Pair, alloc *uri.Allocator, cause error) (*truediff.
 	if err != nil {
 		return nil, fmt.Errorf("%w (fallback also failed: %v)", cause, err)
 	}
+	// The real diff never finished, so there is no selection to explain.
+	res.Explain = nil
 	e.m.fallbacks.Add(1)
 	return res, nil
 }

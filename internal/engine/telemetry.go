@@ -5,10 +5,11 @@ import (
 )
 
 // DiffEvent is the per-diff notification delivered to Config.Observer and
-// Config.SlowDiffLog: the pair's label, the trace context the diff ran
-// under (the engine.diff span when tracing is on, else the pair's own),
-// its full DiffStats (wall time, per-phase breakdown, sizes, edit count,
-// intern flags), and the error of a failed diff.
+// summarized in the engine's slow-diff and failure log records: the pair's
+// label, the trace context the diff ran under (the engine.diff span when
+// tracing is on, else the pair's own), its full DiffStats (wall time,
+// per-phase breakdown, sizes, edit count, intern flags), and the error of
+// a failed diff.
 type DiffEvent struct {
 	Label string
 	Trace telemetry.SpanContext

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"log/slog"
 	"strings"
 	"sync"
 	"testing"
@@ -200,22 +201,80 @@ func TestObserverSeesEveryDiff(t *testing.T) {
 	}
 }
 
+// slogRecorder is a slog.Handler keeping a copy of every record; engine
+// workers log concurrently, so it locks.
+type slogRecorder struct {
+	mu   sync.Mutex
+	recs []slog.Record
+}
+
+func (h *slogRecorder) Enabled(context.Context, slog.Level) bool { return true }
+func (h *slogRecorder) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h *slogRecorder) WithGroup(string) slog.Handler            { return h }
+
+func (h *slogRecorder) Handle(_ context.Context, r slog.Record) error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.recs = append(h.recs, r.Clone())
+	return nil
+}
+
+// with returns the recorded records carrying message msg.
+func (h *slogRecorder) with(msg string) []slog.Record {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	var out []slog.Record
+	for _, r := range h.recs {
+		if r.Message == msg {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
 // TestSlowDiffLogging: with a 1ns threshold every real diff is slow — the
-// custom sink sees them all and SlowDiffs counts them — while an identical
-// short-circuited pair (wall 0) is never slow.
+// logger receives one warn record per pair, carrying its label and the
+// threshold, and SlowDiffs counts them — while an identical
+// short-circuited pair (wall 0) is never slow. Without a Logger the
+// records go to slog.Default().
 func TestSlowDiffLogging(t *testing.T) {
 	tps := makePairs(t, 6)
-	var slow eventLog
+	pairs := enginePairs(tps)
+	for i := range pairs {
+		pairs[i].Label = "pair-" + string(rune('a'+i))
+	}
+	slow := &slogRecorder{}
 	e := New(exp.Schema(), Config{
 		Workers:           2,
 		SlowDiffThreshold: time.Nanosecond,
-		SlowDiffLog:       slow.add,
+		Logger:            slog.New(slow),
 	})
-	if _, err := e.DiffBatch(context.Background(), enginePairs(tps)); err != nil {
+	if _, err := e.DiffBatch(context.Background(), pairs); err != nil {
 		t.Fatalf("DiffBatch: %v", err)
 	}
-	if got := len(slow.all()); got != len(tps) {
-		t.Fatalf("slow log saw %d events, want %d", got, len(tps))
+	recs := slow.with("slow diff")
+	if got := len(recs); got != len(tps) {
+		t.Fatalf("slow log saw %d records, want %d", got, len(tps))
+	}
+	labels := map[string]bool{}
+	for _, r := range recs {
+		if r.Level != slog.LevelWarn {
+			t.Errorf("slow record level = %v, want WARN", r.Level)
+		}
+		r.Attrs(func(a slog.Attr) bool {
+			switch a.Key {
+			case "pair":
+				labels[a.Value.String()] = true
+			case "threshold":
+				if a.Value.Duration() != time.Nanosecond {
+					t.Errorf("threshold attr = %v, want 1ns", a.Value)
+				}
+			}
+			return true
+		})
+	}
+	if len(labels) != len(tps) {
+		t.Errorf("slow records name %d distinct pairs, want %d: %v", len(labels), len(tps), labels)
 	}
 	if s := e.Snapshot(); s.SlowDiffs != uint64(len(tps)) {
 		t.Fatalf("SlowDiffs = %d, want %d", s.SlowDiffs, len(tps))
@@ -230,6 +289,22 @@ func TestSlowDiffLogging(t *testing.T) {
 	}
 	if d := e.Snapshot().Sub(before); d.SlowDiffs != 0 {
 		t.Fatalf("identical pair counted as slow: %+v", d)
+	}
+	if got := len(slow.with("slow diff")); got != len(tps) {
+		t.Fatalf("identical pair logged as slow: %d records, want %d", got, len(tps))
+	}
+
+	// No Logger: the same records reach slog.Default().
+	def := &slogRecorder{}
+	prev := slog.Default()
+	slog.SetDefault(slog.New(def))
+	defer slog.SetDefault(prev)
+	e2 := New(exp.Schema(), Config{Workers: 2, SlowDiffThreshold: time.Nanosecond})
+	if _, err := e2.DiffBatch(context.Background(), enginePairs(makePairs(t, 3))); err != nil {
+		t.Fatalf("DiffBatch: %v", err)
+	}
+	if got := len(def.with("slow diff")); got != 3 {
+		t.Fatalf("default logger saw %d slow records, want 3", got)
 	}
 }
 

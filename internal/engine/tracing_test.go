@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"log/slog"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -78,6 +79,57 @@ func TestEngineSpans(t *testing.T) {
 		rec := ev.TraceRecord()
 		if rec.TraceID == "" || rec.SpanID == "" {
 			t.Fatalf("trace record for %q missing correlation IDs: %+v", ev.Label, rec)
+		}
+	}
+}
+
+// TestEnginePhaseSpansTileParent: the phase spans rebuilt from a diff's
+// record are four back-to-back spans in phase order, inside their
+// engine.diff span, each exactly as long as DiffStats.Phases says.
+func TestEnginePhaseSpansTileParent(t *testing.T) {
+	rec := telemetry.NewSpanRecorder()
+	var events eventLog
+	e := New(exp.Schema(), Config{Workers: 2, Spans: rec, Observer: events.add})
+	if _, err := e.DiffBatch(context.Background(), enginePairs(makePairs(t, 4))); err != nil {
+		t.Fatalf("DiffBatch: %v", err)
+	}
+	children := map[telemetry.SpanID][]telemetry.Span{}
+	parents := map[telemetry.SpanID]telemetry.Span{}
+	for _, s := range rec.Spans() {
+		if s.Name == "engine.diff" {
+			parents[s.ID] = s
+		} else {
+			children[s.Parent] = append(children[s.Parent], s)
+		}
+	}
+	evs := events.all()
+	if len(evs) != 4 || len(parents) != 4 {
+		t.Fatalf("%d events, %d engine.diff spans, want 4 each", len(evs), len(parents))
+	}
+	for _, ev := range evs {
+		parent, ok := parents[ev.Trace.Span]
+		if !ok {
+			t.Fatalf("event %+v has no engine.diff span", ev.Trace)
+		}
+		ph := children[parent.ID]
+		if len(ph) != telemetry.NumPhases {
+			t.Fatalf("engine.diff span has %d phase children, want %d", len(ph), telemetry.NumPhases)
+		}
+		sort.Slice(ph, func(i, j int) bool { return ph[i].Start.Before(ph[j].Start) })
+		for p, s := range ph {
+			if want := "truediff." + telemetry.Phase(p).String(); s.Name != want {
+				t.Errorf("phase span %d = %s, want %s", p, s.Name, want)
+			}
+			if d := s.Duration(); d != ev.Stats.Phases[p] {
+				t.Errorf("%s lasts %v, DiffStats.Phases says %v", s.Name, d, ev.Stats.Phases[p])
+			}
+			if p > 0 && !s.Start.Equal(ph[p-1].Stop) {
+				t.Errorf("%s starts %v after %s ends", s.Name, s.Start.Sub(ph[p-1].Stop), ph[p-1].Name)
+			}
+		}
+		if ph[0].Start.Before(parent.Start) || ph[len(ph)-1].Stop.After(parent.Stop) {
+			t.Errorf("phases [%v, %v] spill out of engine.diff [%v, %v]",
+				ph[0].Start, ph[len(ph)-1].Stop, parent.Start, parent.Stop)
 		}
 	}
 }

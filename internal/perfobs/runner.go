@@ -556,22 +556,20 @@ func (m *serviceMeasurer) close() {
 	_ = m.ln.Close()
 }
 
-// probePhaseAllocs runs one extra single-threaded repetition with a tracer
-// that reads the cumulative heap-allocation counter at every phase
-// boundary. The tracer callbacks run synchronously on the diffing
-// goroutine, so consecutive counter deltas attribute allocation to the
-// phase that just completed. The probe repetition is never timed.
+// probePhaseAllocs runs one extra single-threaded repetition with an
+// OnPhase hook that reads the cumulative heap-allocation counter at every
+// phase boundary. The hook runs synchronously on the diffing goroutine, so
+// consecutive counter deltas attribute allocation to the phase that just
+// completed. The probe repetition is never timed.
 func probePhaseAllocs(h *corpus.History, ps *pairSet, equiv truediff.EquivMode) (map[string]int64, error) {
 	sums := make(map[string]int64, telemetry.NumPhases)
 	var last uint64
-	tracer := telemetry.TracerFuncs{
-		OnPhase: func(p telemetry.Phase, _ time.Duration) {
-			now := readAllocBytes()
-			sums[p.String()] += int64(now - last)
-			last = now
-		},
+	onPhase := func(p telemetry.Phase) {
+		now := readAllocBytes()
+		sums[p.String()] += int64(now - last)
+		last = now
 	}
-	d := truediff.NewWithOptions(h.Factory.Schema(), truediff.Options{Tracer: tracer, Equiv: equiv})
+	d := truediff.NewWithOptions(h.Factory.Schema(), truediff.Options{OnPhase: onPhase, Equiv: equiv})
 	scratch := truediff.NewScratch()
 	for i := range ps.src {
 		last = readAllocBytes()

@@ -19,6 +19,7 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // Tag names a tree constructor (the paper writes tags without quotes,
@@ -172,8 +173,8 @@ func (s *Sig) String() string {
 type Schema struct {
 	name   string
 	sigs   map[Tag]*Sig
-	parent map[Sort]Sort // immediate supersort; absent entries have parent Any
-	fp     string        // cached Fingerprint
+	parent map[Sort]Sort          // immediate supersort; absent entries have parent Any
+	fp     atomic.Pointer[string] // cached Fingerprint
 }
 
 // NewSchema returns an empty schema with the given descriptive name. The
@@ -302,10 +303,11 @@ func (s *Schema) Lookup(t Tag) *Sig { return s.sigs[t] }
 // the same fingerprint declare the same vocabulary, so digest caches (the
 // engine's cross-diff memo) use it to partition their key space per
 // schema. The fingerprint is computed on first use and cached; do not
-// declare further tags or sorts after calling it.
+// declare further tags or sorts after calling it. It is safe for
+// concurrent use: racing first callers compute the same digest.
 func (s *Schema) Fingerprint() string {
-	if s.fp != "" {
-		return s.fp
+	if fp := s.fp.Load(); fp != nil {
+		return *fp
 	}
 	h := sha256.New()
 	io.WriteString(h, s.name)
@@ -320,8 +322,9 @@ func (s *Schema) Fingerprint() string {
 	for _, sub := range subs {
 		fmt.Fprintf(h, "%s<:%s;", sub, s.parent[sub])
 	}
-	s.fp = string(h.Sum(nil))
-	return s.fp
+	fp := string(h.Sum(nil))
+	s.fp.Store(&fp)
+	return fp
 }
 
 // ResultSort returns the result sort of tag and whether it is declared.

@@ -2,6 +2,7 @@ package sig
 
 import (
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -190,6 +191,37 @@ func TestSigIndexesAndString(t *testing.T) {
 	for _, part := range []string{"Call", "a:Exp", "f:string", "→ Exp"} {
 		if !strings.Contains(str, part) {
 			t.Errorf("Sig.String() = %q lacks %q", str, part)
+		}
+	}
+}
+
+// TestFingerprintConcurrent: parallel first callers of Fingerprint (an
+// engine per goroutine over one schema) all get the digest a serial
+// caller computes. Run under -race it also guards the lazy cache.
+func TestFingerprintConcurrent(t *testing.T) {
+	build := func() *Schema {
+		s := NewSchema("fp")
+		s.MustDeclareSort("Num", "Exp")
+		s.MustDeclare(Sig{Tag: "Lit", Lits: []LitSpec{{Link: "v", Type: IntLit}}, Result: "Num"})
+		s.MustDeclare(Sig{Tag: "Add", Kids: []KidSpec{{Link: "l", Sort: "Exp"}, {Link: "r", Sort: "Exp"}}, Result: "Exp"})
+		return s
+	}
+	want := build().Fingerprint()
+	s := build()
+	const callers = 8
+	got := make([]string, callers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = s.Fingerprint()
+		}()
+	}
+	wg.Wait()
+	for i, fp := range got {
+		if fp != want {
+			t.Fatalf("caller %d got fingerprint %x, want %x", i, fp, want)
 		}
 	}
 }

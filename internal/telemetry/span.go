@@ -15,14 +15,13 @@ import (
 // request across processes — structdiff.ServiceClient injects the header,
 // diffserve extracts and continues the trace, and spans nest through the
 // coalescing batcher, the engine worker, and the four truediff phases (the
-// phase spans are synthesized from the existing Tracer contract, see
+// phase spans are rebuilt after each diff from its PhaseTimes record, see
 // PhaseSpans) — so client-observed latency decomposes into queue wait,
 // batch window, worker execution, and phase times.
 //
 // The design is allocation-light and off-by-default: StartSpan with a nil
 // sink returns a nil *Span, every Span method is nil-safe, and the only
-// hot-path cost with tracing disabled is a pointer comparison (plus one
-// context value lookup per diff inside the differ).
+// hot-path cost with tracing disabled is a pointer comparison.
 
 // TraceID identifies one distributed trace: 16 bytes, rendered as 32 hex
 // digits (the W3C trace-id field).
@@ -294,102 +293,32 @@ func (r *SpanRecorder) Reset() {
 	r.mu.Unlock()
 }
 
-// PhaseSpans adapts the Tracer contract into phase spans: every Phase
-// event becomes one completed span named "truediff.<phase>" under parent,
-// back-dated by the reported duration so consecutive phases tile the
-// parent span. BeginDiff and EndDiff are ignored (the engine's own
-// "engine.diff" span already brackets the diff). The returned Tracer is
-// concurrency-safe if the sink is.
-func PhaseSpans(sink SpanSink, parent SpanContext) Tracer {
-	return phaseSpanTracer{sink: sink, parent: parent}
-}
-
-type phaseSpanTracer struct {
-	sink   SpanSink
-	parent SpanContext
-}
-
-func (t phaseSpanTracer) BeginDiff(sourceNodes, targetNodes int) {}
-
-func (t phaseSpanTracer) Phase(p Phase, d time.Duration) {
-	now := time.Now()
-	s := StartSpanAt(t.sink, t.parent, "truediff."+p.String(), now.Add(-d))
-	s.EndAt(now)
-}
-
-func (t phaseSpanTracer) EndDiff(edits int, wall time.Duration) {}
-
-// MultiTracer fans every event out to each tracer, in order. Nil tracers
-// are skipped; with fewer than two non-nil tracers the survivor (or nil)
-// is returned unwrapped.
-func MultiTracer(tracers ...Tracer) Tracer {
-	kept := tracers[:0:0]
-	for _, tr := range tracers {
-		if tr != nil {
-			kept = append(kept, tr)
-		}
+// PhaseSpans records one diff's phase durations as four completed spans
+// named "truediff.<phase>" under parent, back to back in Phase order, the
+// last ending at end (the moment the differ returned). Because truediff's
+// phases tile the diff, the rebuilt spans tile it too. A nil sink records
+// nothing.
+func PhaseSpans(sink SpanSink, parent SpanContext, end time.Time, pt PhaseTimes) {
+	if sink == nil {
+		return
 	}
-	switch len(kept) {
-	case 0:
-		return nil
-	case 1:
-		return kept[0]
-	}
-	return multiTracer(kept)
-}
-
-type multiTracer []Tracer
-
-func (m multiTracer) BeginDiff(sourceNodes, targetNodes int) {
-	for _, tr := range m {
-		tr.BeginDiff(sourceNodes, targetNodes)
-	}
-}
-
-func (m multiTracer) Phase(p Phase, d time.Duration) {
-	for _, tr := range m {
-		tr.Phase(p, d)
-	}
-}
-
-func (m multiTracer) EndDiff(edits int, wall time.Duration) {
-	for _, tr := range m {
-		tr.EndDiff(edits, wall)
+	start := end.Add(-pt.Total())
+	for p := Phase(0); p < NumPhases; p++ {
+		stop := start.Add(pt[p])
+		StartSpanAt(sink, parent, "truediff."+p.String(), start).EndAt(stop)
+		start = stop
 	}
 }
 
 // --- context propagation ---
 
-type ctxKey int
-
-const (
-	tracerCtxKey ctxKey = iota
-	spanCtxKey
-)
-
-// ContextWithTracer attaches a per-diff Tracer to ctx. The differ merges
-// it with its configured Options.Tracer, which is how request-scoped phase
-// spans reach a differ shared by every request (the engine attaches a
-// PhaseSpans tracer per pair).
-func ContextWithTracer(ctx context.Context, tr Tracer) context.Context {
-	return context.WithValue(ctx, tracerCtxKey, tr)
-}
-
-// TracerFromContext returns the Tracer attached by ContextWithTracer, nil
-// when absent (including a nil ctx).
-func TracerFromContext(ctx context.Context) Tracer {
-	if ctx == nil {
-		return nil
-	}
-	tr, _ := ctx.Value(tracerCtxKey).(Tracer)
-	return tr
-}
+type spanCtxKey struct{}
 
 // ContextWithSpanContext attaches a trace context for downstream clients
 // to continue (structdiff.ServiceClient injects it as the outgoing
 // traceparent header and parents its client span under it).
 func ContextWithSpanContext(ctx context.Context, sc SpanContext) context.Context {
-	return context.WithValue(ctx, spanCtxKey, sc)
+	return context.WithValue(ctx, spanCtxKey{}, sc)
 }
 
 // SpanContextFromContext returns the trace context attached by
@@ -398,6 +327,6 @@ func SpanContextFromContext(ctx context.Context) SpanContext {
 	if ctx == nil {
 		return SpanContext{}
 	}
-	sc, _ := ctx.Value(spanCtxKey).(SpanContext)
+	sc, _ := ctx.Value(spanCtxKey{}).(SpanContext)
 	return sc
 }

@@ -147,84 +147,44 @@ func TestSpanJSONIDs(t *testing.T) {
 func TestPhaseSpans(t *testing.T) {
 	rec := NewSpanRecorder()
 	parent := NewSpanContext()
-	tr := PhaseSpans(rec, parent)
-	tr.BeginDiff(10, 12)
-	tr.Phase(PhasePrepare, 5*time.Millisecond)
-	tr.Phase(PhaseEmit, 2*time.Millisecond)
-	tr.EndDiff(4, 8*time.Millisecond)
+	end := time.Now()
+	pt := PhaseTimes{5 * time.Millisecond, 3 * time.Millisecond, 0, 2 * time.Millisecond}
+	PhaseSpans(rec, parent, end, pt)
 
 	spans := rec.Spans()
-	if len(spans) != 2 {
-		t.Fatalf("recorded %d spans, want 2 (Begin/EndDiff must not emit)", len(spans))
+	if len(spans) != NumPhases {
+		t.Fatalf("recorded %d spans, want %d (one per phase, zero-length included)", len(spans), NumPhases)
 	}
-	if spans[0].Name != "truediff.prepare" || spans[1].Name != "truediff.emit" {
-		t.Fatalf("span names = %q, %q", spans[0].Name, spans[1].Name)
-	}
-	for _, s := range spans {
+	at := end.Add(-pt.Total())
+	for p, s := range spans {
+		if want := "truediff." + Phase(p).String(); s.Name != want {
+			t.Errorf("span %d name = %q, want %q", p, s.Name, want)
+		}
 		if s.Trace != parent.Trace || s.Parent != parent.Span {
 			t.Errorf("span %q not parented under the diff span: %+v", s.Name, s)
 		}
+		if !s.Start.Equal(at) || s.Duration() != pt[p] {
+			t.Errorf("span %q = [%v +%v], want [%v +%v] (back to back)", s.Name, s.Start, s.Duration(), at, pt[p])
+		}
+		at = s.Stop
 	}
-	if d := spans[0].Duration(); d != 5*time.Millisecond {
-		t.Errorf("prepare span duration = %v, want 5ms (back-dated)", d)
+	if !at.Equal(end) {
+		t.Errorf("last phase ends at %v, want the diff's end %v", at, end)
 	}
-}
 
-func TestMultiTracer(t *testing.T) {
-	if MultiTracer() != nil || MultiTracer(nil, nil) != nil {
-		t.Fatal("MultiTracer of nothing should be nil")
-	}
-	var calls []string
-	mk := func(name string) Tracer {
-		return TracerFuncs{
-			OnBegin: func(s, d int) { calls = append(calls, name+".begin") },
-			OnPhase: func(p Phase, d time.Duration) { calls = append(calls, name+".phase") },
-			OnEnd:   func(e int, w time.Duration) { calls = append(calls, name+".end") },
-		}
-	}
-	a := mk("a")
-	if got := MultiTracer(nil, a); got == nil {
-		t.Fatal("single survivor should be returned, got nil")
-	} else {
-		got.BeginDiff(1, 2)
-		if len(calls) != 1 || calls[0] != "a.begin" {
-			t.Fatalf("single survivor must be unwrapped; calls = %v", calls)
-		}
-	}
-	calls = nil
-	m := MultiTracer(a, nil, mk("b"))
-	m.BeginDiff(1, 2)
-	m.Phase(PhaseShares, time.Millisecond)
-	m.EndDiff(0, time.Millisecond)
-	want := []string{"a.begin", "b.begin", "a.phase", "b.phase", "a.end", "b.end"}
-	if len(calls) != len(want) {
-		t.Fatalf("calls = %v, want %v", calls, want)
-	}
-	for i := range want {
-		if calls[i] != want[i] {
-			t.Fatalf("calls[%d] = %q, want %q", i, calls[i], want[i])
-		}
-	}
+	PhaseSpans(nil, parent, end, pt) // nil sink: a no-op, not a panic
 }
 
 func TestContextPropagation(t *testing.T) {
-	if TracerFromContext(nil) != nil {
-		t.Error("TracerFromContext(nil) != nil")
-	}
 	if sc := SpanContextFromContext(nil); sc.Valid() {
 		t.Error("SpanContextFromContext(nil) is valid")
 	}
 	ctx := context.Background()
-	if TracerFromContext(ctx) != nil || SpanContextFromContext(ctx).Valid() {
+	if SpanContextFromContext(ctx).Valid() {
 		t.Error("empty context carries trace state")
 	}
-	tr := TracerFuncs{}
 	sc := NewSpanContext()
-	ctx = ContextWithTracer(ctx, tr)
 	ctx = ContextWithSpanContext(ctx, sc)
-	if got := TracerFromContext(ctx); got == nil {
-		t.Error("tracer lost in context")
-	}
 	if got := SpanContextFromContext(ctx); got != sc {
 		t.Errorf("span context: got %+v, want %+v", got, sc)
 	}

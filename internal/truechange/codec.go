@@ -3,6 +3,8 @@ package truechange
 import (
 	"encoding/json"
 	"fmt"
+	"math"
+	"strconv"
 
 	"repro/internal/sig"
 	"repro/internal/uri"
@@ -15,7 +17,10 @@ import (
 //
 // Literal values survive the round trip with their types: int64 and
 // float64 are distinguished by a type tag, since encoding/json would
-// otherwise decode both as float64.
+// otherwise decode both as float64. JSON has no NaN or ±Inf, and
+// omitempty would drop the sign of -0, so those floats travel as their
+// strconv text in the "s" field (NaN decodes to the canonical NaN, as it
+// does from an S-expression).
 
 // wireEdit is the serialized form of one edit.
 type wireEdit struct {
@@ -54,6 +59,9 @@ func toWireLit(l LitArg) (wireLit, error) {
 		w.Kind, w.I = "i", v
 	case float64:
 		w.Kind, w.F = "f", v
+		if math.IsNaN(v) || math.IsInf(v, 0) || (v == 0 && math.Signbit(v)) {
+			w.F, w.S = 0, strconv.FormatFloat(v, 'g', -1, 64)
+		}
 	case bool:
 		w.Kind, w.B = "b", v
 	default:
@@ -71,6 +79,13 @@ func fromWireLit(w wireLit) (LitArg, error) {
 		l.Value = w.I
 	case "f":
 		l.Value = w.F
+		if w.S != "" {
+			f, err := strconv.ParseFloat(w.S, 64)
+			if err != nil {
+				return l, fmt.Errorf("truechange: bad float literal %q", w.S)
+			}
+			l.Value = f
+		}
 	case "b":
 		l.Value = w.B
 	default:

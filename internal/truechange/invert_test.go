@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/sig"
+	"repro/internal/uri"
 )
 
 func TestInvertEditDuals(t *testing.T) {
@@ -134,6 +135,33 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 	if back.Edits[4].(Load).Lits[0].Value != true {
 		t.Errorf("bool literal lost")
+	}
+}
+
+// TestJSONRoundTripFloatSpecials: NaN, ±Inf and -0 — literals JSON numbers
+// cannot carry — survive the round trip bit for bit.
+func TestJSONRoundTripFloatSpecials(t *testing.T) {
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0, -1.5}
+	s := &Script{}
+	for i, f := range specials {
+		s.Edits = append(s.Edits, Load{Node: nref("F", 1+uri.URI(i)), Lits: []LitArg{{Link: "v", Value: f}}})
+	}
+	data, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Script
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range specials {
+		got, ok := back.Edits[i].(Load).Lits[0].Value.(float64)
+		if !ok || math.Float64bits(got) != math.Float64bits(f) {
+			t.Errorf("float %v came back as %v", f, back.Edits[i].(Load).Lits[0].Value)
+		}
+	}
+	if err := json.Unmarshal([]byte(`[{"op":"load","lits":[{"link":"v","kind":"f","s":"nope"}]}]`), &back); err == nil {
+		t.Error("malformed float text should fail")
 	}
 }
 

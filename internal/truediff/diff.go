@@ -55,31 +55,27 @@ type Options struct {
 	// instead of replacing the node. The paper's traversal requires tag
 	// and literals to coincide; this is an ablation.
 	UpdateOnLitMismatch bool
-	// Tracer, when non-nil, receives span events for every diff: BeginDiff,
-	// one Phase event per truediff step in order, EndDiff. Phase durations
-	// are recorded into the Scratch regardless (see Scratch.PhaseTimes), so
-	// a nil Tracer costs only the monotonic clock reads. A Tracer shared by
-	// concurrent goroutines (the engine with Workers > 1) must be
-	// concurrency-safe. A diff aborted by a Checkpoint leaves its span
-	// unterminated: BeginDiff and the phases that completed are emitted,
-	// EndDiff is not.
-	Tracer telemetry.Tracer
+	// OnPhase, when non-nil, is called on the diffing goroutine as each of
+	// the four phases completes, in Phase order, after its duration has
+	// been recorded into the Scratch (see Scratch.PhaseTimes, the per-diff
+	// record every other consumer reads after the diff). It is an untimed
+	// probe hook — perfobs reads the heap-allocation counter in it — and a
+	// diff that fails input validation or aborts calls it only for the
+	// phases that completed.
+	OnPhase func(telemetry.Phase)
 	// CheckpointEvery is the number of nodes a checked diff (see
 	// DiffScratchChecked) processes between polls of its Checkpoint. Zero
 	// or negative selects DefaultCheckpointEvery. Smaller values abort
 	// pathological diffs sooner at the cost of more polls.
 	CheckpointEvery int
-	// Explain, when non-nil, receives a structured Explanation of every
-	// diff: one provenance record per emitted edit (index-aligned with the
-	// script) describing which equivalence class matched, whether the
+	// Explain turns on provenance: every successful diff's Result carries
+	// an Explanation with one record per emitted edit (index-aligned with
+	// the script) describing which equivalence class matched, whether the
 	// preferred (exact) or structural candidate won, at which height, how
 	// many candidates were considered, and why losing subtrees were loaded
-	// or unloaded instead of reused. Like Tracer, a nil Explain keeps the
-	// hot path untouched (one pointer check per diff and per edit); a sink
-	// shared by concurrent goroutines must be concurrency-safe. A
-	// per-invocation sink can be carried by the context instead, see
-	// ContextWithExplain.
-	Explain ExplainSink
+	// or unloaded instead of reused. Off, the hot path pays one pointer
+	// check per diff and per edit.
+	Explain bool
 	// ProfileLabels turns on profiler-visible phase attribution: each diff
 	// becomes a runtime/trace task ("truediff.diff") and each of the four
 	// phases runs under a pprof label (phase=prepare|shares|select|emit)
@@ -149,10 +145,12 @@ func (d *Differ) Schema() *sig.Schema { return d.sch }
 // Result carries the outcome of a diff: the edit script transforming the
 // source into the target, and the patched tree, which reuses source
 // subtrees (keeping their URIs) plus freshly loaded nodes and can serve as
-// the source of a subsequent diff.
+// the source of a subsequent diff. Explain is the script's per-edit
+// provenance, set only under Options.Explain.
 type Result struct {
 	Script  *truechange.Script
 	Patched *tree.Node
+	Explain *Explanation
 }
 
 // Scratch holds the reusable per-invocation state of the algorithm: the
@@ -176,8 +174,11 @@ type Scratch struct {
 }
 
 // PhaseTimes returns the per-phase durations of the most recent DiffScratch
-// run through this scratch (zeroed on entry to each run). The engine reads
-// it after every diff to feed its phase histograms.
+// run through this scratch: zero for a run that failed input validation,
+// the completed phases only for an aborted one.
+// It is the diff's timing record: the engine reads it after every diff to
+// feed its phase histograms, and telemetry.PhaseSpans rebuilds the phase
+// spans from it.
 func (s *Scratch) PhaseTimes() telemetry.PhaseTimes { return s.phases }
 
 // NewScratch returns an empty Scratch ready for DiffScratch.
@@ -247,6 +248,7 @@ func (d *Differ) DiffScratchChecked(source, target *tree.Node, alloc *uri.Alloca
 // ProfileLabels unset, ctx is ignored and this is exactly
 // DiffScratchChecked. A nil ctx is treated as context.Background().
 func (d *Differ) DiffScratchProfiled(ctx context.Context, source, target *tree.Node, alloc *uri.Allocator, s *Scratch, cp Checkpoint) (res *Result, err error) {
+	s.phases = telemetry.PhaseTimes{} // a failed run leaves no stale record
 	if source == nil || target == nil {
 		return nil, fmt.Errorf("truediff: %w", derrors.ErrNilTree)
 	}
@@ -256,8 +258,7 @@ func (d *Differ) DiffScratchProfiled(ctx context.Context, source, target *tree.N
 		every = DefaultCheckpointEvery
 	}
 	r := &run{sch: d.sch, opts: d.opts, s: s, cp: cp, cpEvery: every, cpLeft: every}
-	ctxSink := ExplainFromContext(ctx)
-	if d.opts.Explain != nil || ctxSink != nil {
+	if d.opts.Explain {
 		r.explain = newExplainState()
 	}
 	defer func() {
@@ -295,54 +296,35 @@ func (d *Differ) DiffScratchProfiled(ctx context.Context, source, target *tree.N
 		return nil, prepErr
 	}
 	r.alloc = alloc
-	// A diff that passed validation emits the full span: BeginDiff, one
-	// Phase per step in order, EndDiff. Failed validation emits nothing.
-	// A request-scoped tracer carried by ctx (the engine attaches one per
-	// pair to synthesize phase spans) merges with the configured tracer.
-	tr := d.opts.Tracer
-	if ct := telemetry.TracerFromContext(ctx); ct != nil {
-		tr = telemetry.MultiTracer(tr, ct)
-	}
-	if tr != nil {
-		tr.BeginDiff(source.Size(), target.Size())
-	}
-	var mark time.Time
-	s.phase(tr, telemetry.PhasePrepare, began, &mark)
+	mark := began
+	d.endPhase(s, telemetry.PhasePrepare, &mark)
 	inPhase(telemetry.PhaseShares, func() { r.assignShares(source, target) }) // step 2
-	s.phase(tr, telemetry.PhaseShares, mark, &mark)
+	d.endPhase(s, telemetry.PhaseShares, &mark)
 	inPhase(telemetry.PhaseSelect, func() { r.assignSubtrees(target) }) // step 3
-	s.phase(tr, telemetry.PhaseSelect, mark, &mark)
+	d.endPhase(s, telemetry.PhaseSelect, &mark)
 	var patched *tree.Node
 	inPhase(telemetry.PhaseEmit, func() { // step 4
 		patched = r.computeEdits(source, target, truechange.RootRef, sig.RootLink)
 	})
-	s.phase(tr, telemetry.PhaseEmit, mark, &mark)
+	d.endPhase(s, telemetry.PhaseEmit, &mark)
 	res = &Result{Script: s.buf.Script(), Patched: patched}
-	if tr != nil {
-		tr.EndDiff(res.Script.EditCount(), mark.Sub(began))
-	}
 	if r.explain != nil {
-		ex := r.explain.finish(source, target)
-		if d.opts.Explain != nil {
-			d.opts.Explain.ExplainDiff(ex)
-		}
-		if ctxSink != nil {
-			ctxSink.ExplainDiff(ex)
-		}
+		res.Explain = r.explain.finish(source, target)
 	}
 	return res, nil
 }
 
-// phase closes one phase span: it records the duration since start into
-// the scratch, forwards it to the tracer, and advances *mark to now.
-func (s *Scratch) phase(tr telemetry.Tracer, p telemetry.Phase, start time.Time, mark *time.Time) {
+// endPhase closes phase p, which began at *mark: it records the duration
+// into the scratch's per-diff record, advances *mark to now, and reports p
+// to Options.OnPhase. The hook's own cost lands in the next phase, which
+// is why it is meant for untimed probes.
+func (d *Differ) endPhase(s *Scratch, p telemetry.Phase, mark *time.Time) {
 	now := time.Now()
-	d := now.Sub(start)
-	s.phases[p] = d
-	if tr != nil {
-		tr.Phase(p, d)
-	}
+	s.phases[p] = now.Sub(*mark)
 	*mark = now
+	if d.opts.OnPhase != nil {
+		d.opts.OnPhase(p)
+	}
 }
 
 // checkInput admits t as a diff input. A tree nesting deeper than
@@ -419,8 +401,8 @@ type run struct {
 	cp      Checkpoint
 	cpEvery int
 	cpLeft  int
-	// explain accumulates per-edit provenance; nil unless an ExplainSink is
-	// installed, so the hot path pays one pointer check per hook.
+	// explain accumulates per-edit provenance; nil unless Options.Explain is
+	// set, so the hot path pays one pointer check per hook.
 	explain *explainState
 }
 

@@ -1,7 +1,6 @@
 package truediff
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/tree"
@@ -125,44 +124,6 @@ type Explanation struct {
 	Edits []EditProvenance `json:"edits"`
 }
 
-// ExplainSink receives the Explanation of every diff run by a Differ whose
-// Options.Explain is set (or whose context carries a sink, see
-// ContextWithExplain). Like a Tracer, a sink shared by concurrent
-// goroutines must be concurrency-safe; a nil sink costs one pointer check
-// per diff and one per emitted edit.
-type ExplainSink interface {
-	ExplainDiff(*Explanation)
-}
-
-// ExplainCollector is the trivial ExplainSink: it keeps the most recent
-// Explanation. It is NOT concurrency-safe; use one per goroutine (the
-// engine attaches one per pair via the context).
-type ExplainCollector struct {
-	Last *Explanation
-}
-
-// ExplainDiff implements ExplainSink.
-func (c *ExplainCollector) ExplainDiff(e *Explanation) { c.Last = e }
-
-// explainCtxKey carries a request-scoped ExplainSink through a context.
-type explainCtxKey struct{}
-
-// ContextWithExplain returns a context carrying sink; a diff run with that
-// context (DiffScratchProfiled, DiffCtx, or the engine's per-pair context)
-// delivers its Explanation to the sink in addition to Options.Explain.
-func ContextWithExplain(ctx context.Context, sink ExplainSink) context.Context {
-	return context.WithValue(ctx, explainCtxKey{}, sink)
-}
-
-// ExplainFromContext extracts the sink installed by ContextWithExplain.
-func ExplainFromContext(ctx context.Context) ExplainSink {
-	if ctx == nil {
-		return nil
-	}
-	sink, _ := ctx.Value(explainCtxKey{}).(ExplainSink)
-	return sink
-}
-
 // keyDigits is how many hex digits of a hash key provenance records show:
 // enough to correlate decisions within one diff, short enough to read.
 const keyDigits = 12
@@ -191,8 +152,8 @@ type selDecision struct {
 }
 
 // explainState accumulates provenance during one diff run. It exists only
-// when an ExplainSink is installed; every hook in the hot path is guarded
-// by a single nil check.
+// under Options.Explain; every hook in the hot path is guarded by a single
+// nil check.
 type explainState struct {
 	// decisions maps each target subtree that went through candidate
 	// lookup (or was preemptively assigned) to its selection outcome.

@@ -50,14 +50,13 @@ func TestExplainAlignsWithScript(t *testing.T) {
 				g := exp.NewGen(seed)
 				src := g.Tree(80)
 				dst := g.MutateN(src, 5)
-				col := &ExplainCollector{}
-				opts.Explain = col
+				opts.Explain = true
 				d := NewWithOptions(g.Schema(), opts)
 				res, err := d.Diff(src, dst, g.Alloc())
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkAligned(t, col.Last, res.Script)
+				checkAligned(t, res.Explain, res.Script)
 			}
 		})
 	}
@@ -72,22 +71,21 @@ func TestExplainPaperIntroExample(t *testing.T) {
 		b.MustN(exp.Var, "d"),
 		b.MustN(exp.Mul, b.MustN(exp.Var, "c"), b.MustN(exp.Sub, b.MustN(exp.Var, "a"), b.MustN(exp.Var, "b"))))
 
-	col := &ExplainCollector{}
-	d := NewWithOptions(b.Schema(), Options{Explain: col})
+	d := NewWithOptions(b.Schema(), Options{Explain: true})
 	res, err := d.Diff(src, dst, b.Alloc())
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkAligned(t, col.Last, res.Script)
+	checkAligned(t, res.Explain, res.Script)
 	// The minimal script moves Sub#3 and Var#5: both detaches are forced
 	// by the source subtree being claimed as a candidate elsewhere, both
 	// attaches place selected (exact, hence preferred) candidates.
-	for _, p := range col.Last.Edits[:2] {
+	for _, p := range res.Explain.Edits[:2] {
 		if p.Op != "detach" || p.Reason != ReasonSourceClaimed {
 			t.Fatalf("detach provenance = %+v, want reason %s", p, ReasonSourceClaimed)
 		}
 	}
-	for _, p := range col.Last.Edits[2:] {
+	for _, p := range res.Explain.Edits[2:] {
 		if p.Op != "attach" || p.Reason != ReasonMove {
 			t.Fatalf("attach provenance = %+v, want reason %s", p, ReasonMove)
 		}
@@ -95,11 +93,11 @@ func TestExplainPaperIntroExample(t *testing.T) {
 			t.Fatalf("attach provenance missing selection detail: %+v", p)
 		}
 	}
-	if col.Last.Selected != 2 || col.Last.PreferredWins != 2 {
-		t.Fatalf("selection summary = %+v, want 2 selected, 2 preferred", col.Last)
+	if res.Explain.Selected != 2 || res.Explain.PreferredWins != 2 {
+		t.Fatalf("selection summary = %+v, want 2 selected, 2 preferred", res.Explain)
 	}
-	if col.Last.Preemptive < 1 {
-		t.Fatalf("the shared Var c pair should be preemptively assigned: %+v", col.Last)
+	if res.Explain.Preemptive < 1 {
+		t.Fatalf("the shared Var c pair should be preemptively assigned: %+v", res.Explain)
 	}
 }
 
@@ -118,8 +116,7 @@ func TestExplainDoesNotPerturbScript(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := &ExplainCollector{}
-	explained := NewWithOptions(g.Schema(), Options{Explain: col})
+	explained := NewWithOptions(g.Schema(), Options{Explain: true})
 	resExpl, err := explained.Diff(src, dst, mkAlloc())
 	if err != nil {
 		t.Fatal(err)
@@ -129,27 +126,11 @@ func TestExplainDoesNotPerturbScript(t *testing.T) {
 	}
 }
 
-func TestExplainContextSink(t *testing.T) {
-	g := exp.NewGen(5)
-	src := g.Tree(40)
-	dst := g.MutateN(src, 3)
-	opt := &ExplainCollector{}
-	ctxCol := &ExplainCollector{}
-	d := NewWithOptions(g.Schema(), Options{Explain: opt})
-	ctx := ContextWithExplain(context.Background(), ctxCol)
-	res, err := d.DiffCtx(ctx, src, dst, g.Alloc())
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkAligned(t, opt.Last, res.Script)
-	checkAligned(t, ctxCol.Last, res.Script)
-}
-
 func TestExplainDeterministicAcrossRuns(t *testing.T) {
 	g := exp.NewGen(33)
 	src := g.Tree(100)
 	dst := g.MutateN(src, 5)
-	d := New(g.Schema())
+	d := NewWithOptions(g.Schema(), Options{Explain: true})
 	base := g.Alloc().Peek()
 	var first []byte
 	for i := 0; i < 3; i++ {
@@ -157,12 +138,11 @@ func TestExplainDeterministicAcrossRuns(t *testing.T) {
 		// and hence provenance node references — reproducible.
 		alloc := uri.NewAllocator()
 		alloc.Reserve(base)
-		col := &ExplainCollector{}
-		ctx := ContextWithExplain(context.Background(), col)
-		if _, err := d.DiffScratchProfiled(ctx, src, dst, alloc, NewScratch(), nil); err != nil {
+		res, err := d.DiffScratchProfiled(context.Background(), src, dst, alloc, NewScratch(), nil)
+		if err != nil {
 			t.Fatal(err)
 		}
-		buf, err := json.Marshal(col.Last)
+		buf, err := json.Marshal(res.Explain)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,14 +158,13 @@ func TestRootReplaceExplain(t *testing.T) {
 	g := exp.NewGen(9)
 	src := g.Tree(20)
 	dst := g.Tree(20)
-	col := &ExplainCollector{}
-	d := NewWithOptions(g.Schema(), Options{Explain: col})
+	d := NewWithOptions(g.Schema(), Options{Explain: true})
 	res, err := d.RootReplace(src, dst, g.Alloc())
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkAligned(t, col.Last, res.Script)
-	for _, p := range col.Last.Edits {
+	checkAligned(t, res.Explain, res.Script)
+	for _, p := range res.Explain.Edits {
 		if p.Reason != ReasonRootReplace {
 			t.Fatalf("root-replace record has reason %s: %+v", p.Reason, p)
 		}
@@ -198,14 +177,13 @@ func TestExplainUnloadReasons(t *testing.T) {
 	g := exp.NewGen(17)
 	src := g.Tree(60)
 	dst := g.MutateN(src, 8)
-	col := &ExplainCollector{}
-	d := NewWithOptions(g.Schema(), Options{Explain: col})
+	d := NewWithOptions(g.Schema(), Options{Explain: true})
 	res, err := d.Diff(src, dst, g.Alloc())
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkAligned(t, col.Last, res.Script)
-	for _, p := range col.Last.Edits {
+	checkAligned(t, res.Explain, res.Script)
+	for _, p := range res.Explain.Edits {
 		if p.Op == "unload" && p.Reason != ReasonNoDemand && p.Reason != ReasonLostRace {
 			t.Fatalf("unload record has reason %s: %+v", p.Reason, p)
 		}

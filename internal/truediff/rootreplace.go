@@ -38,7 +38,7 @@ func (d *Differ) RootReplace(source, target *tree.Node, alloc *uri.Allocator) (*
 		return nil, err
 	}
 	r := &run{sch: d.sch, opts: d.opts, s: NewScratch(), alloc: alloc}
-	if d.opts.Explain != nil {
+	if d.opts.Explain {
 		r.explain = newExplainState()
 		r.explain.forced = ReasonRootReplace
 	}
@@ -51,9 +51,10 @@ func (d *Differ) RootReplace(source, target *tree.Node, alloc *uri.Allocator) (*
 	t := r.loadUnassigned(target)
 	attach := truechange.Attach{Node: ref(t), Link: sig.RootLink, Parent: truechange.RootRef}
 	r.s.buf.Add(attach)
+	res := &Result{Script: r.s.buf.Script(), Patched: t}
 	if r.explain != nil {
 		r.explain.record(attach, EditProvenance{})
-		d.opts.Explain.ExplainDiff(r.explain.finish(source, target))
+		res.Explain = r.explain.finish(source, target)
 	}
-	return &Result{Script: r.s.buf.Script(), Patched: t}, nil
+	return res, nil
 }

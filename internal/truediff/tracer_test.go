@@ -11,40 +11,13 @@ import (
 	"repro/internal/uri"
 )
 
-// traceEvent is one recorded tracer callback.
-type traceEvent struct {
-	kind  string // "begin", "phase", "end"
-	phase telemetry.Phase
-	src   int // begin: source size
-	dst   int // begin: target size
-	edits int // end: edit count
-	wall  time.Duration
-}
-
-// recordingTracer appends every callback to events. It is deliberately
-// not concurrency-safe: these tests drive one diff at a time.
-type recordingTracer struct {
-	events []traceEvent
-}
-
-func (r *recordingTracer) BeginDiff(src, dst int) {
-	r.events = append(r.events, traceEvent{kind: "begin", src: src, dst: dst})
-}
-
-func (r *recordingTracer) Phase(p telemetry.Phase, d time.Duration) {
-	r.events = append(r.events, traceEvent{kind: "phase", phase: p, wall: d})
-}
-
-func (r *recordingTracer) EndDiff(edits int, wall time.Duration) {
-	r.events = append(r.events, traceEvent{kind: "end", edits: edits, wall: wall})
-}
-
-// TestTracerOrdering pins the tracer event contract: every diff emits
-// BeginDiff, then each of the four phases exactly once in Phase order,
-// then EndDiff — and nothing else.
+// TestTracerOrdering pins the per-diff phase contract: every diff reports
+// each of the four phases to Options.OnPhase exactly once, in Phase order,
+// and nothing else; and the scratch's record holds all four durations,
+// bounded by the diff's wall time as the caller measures it.
 func TestTracerOrdering(t *testing.T) {
-	rec := &recordingTracer{}
-	d := NewWithOptions(exp.Schema(), Options{Tracer: rec})
+	var seen []telemetry.Phase
+	d := NewWithOptions(exp.Schema(), Options{OnPhase: func(p telemetry.Phase) { seen = append(seen, p) }})
 	s := NewScratch()
 
 	const diffs = 5
@@ -56,65 +29,71 @@ func TestTracerOrdering(t *testing.T) {
 		src := tree.Clone(before, alloc, tree.SHA256)
 		dst := tree.Clone(after, alloc, tree.SHA256)
 
-		start := len(rec.events)
-		res, err := d.DiffScratch(src, dst, alloc, s)
-		if err != nil {
+		start := len(seen)
+		began := time.Now()
+		if _, err := d.DiffScratch(src, dst, alloc, s); err != nil {
 			t.Fatalf("diff %d: %v", i, err)
 		}
-		span := rec.events[start:]
-		if len(span) != 2+telemetry.NumPhases {
-			t.Fatalf("diff %d emitted %d events, want %d: %+v", i, len(span), 2+telemetry.NumPhases, span)
-		}
-		if span[0].kind != "begin" || span[0].src != src.Size() || span[0].dst != dst.Size() {
-			t.Errorf("diff %d: first event = %+v, want begin with sizes %d/%d", i, span[0], src.Size(), dst.Size())
+		wall := time.Since(began)
+		span := seen[start:]
+		if len(span) != telemetry.NumPhases {
+			t.Fatalf("diff %d reported %d phases, want %d: %v", i, len(span), telemetry.NumPhases, span)
 		}
 		for p := 0; p < telemetry.NumPhases; p++ {
-			ev := span[1+p]
-			if ev.kind != "phase" || ev.phase != telemetry.Phase(p) {
-				t.Errorf("diff %d event %d = %+v, want phase %v", i, 1+p, ev, telemetry.Phase(p))
+			if span[p] != telemetry.Phase(p) {
+				t.Errorf("diff %d phase event %d = %v, want %v", i, p, span[p], telemetry.Phase(p))
 			}
-		}
-		last := span[len(span)-1]
-		if last.kind != "end" || last.edits != res.Script.EditCount() {
-			t.Errorf("diff %d: last event = %+v, want end with %d edits", i, last, res.Script.EditCount())
 		}
 
-		// The scratch's phase times must match what the tracer saw and be
-		// bounded by the diff's wall time.
+		// The record holds every phase, and the phases tile at most the
+		// wall time around the call.
 		times := s.PhaseTimes()
 		for p := 0; p < telemetry.NumPhases; p++ {
-			if times[p] != span[1+p].wall {
-				t.Errorf("diff %d phase %v: scratch %v != tracer %v", i, telemetry.Phase(p), times[p], span[1+p].wall)
+			if times[p] <= 0 {
+				t.Errorf("diff %d phase %v: record holds %v", i, telemetry.Phase(p), times[p])
 			}
 		}
-		if times.Total() > last.wall {
-			t.Errorf("diff %d: phase total %v exceeds wall %v", i, times.Total(), last.wall)
+		if times.Total() > wall {
+			t.Errorf("diff %d: phase total %v exceeds wall %v", i, times.Total(), wall)
 		}
 	}
-	if want := diffs * (2 + telemetry.NumPhases); len(rec.events) != want {
-		t.Fatalf("total events = %d, want %d", len(rec.events), want)
+	if want := diffs * telemetry.NumPhases; len(seen) != want {
+		t.Fatalf("total phase events = %d, want %d", len(seen), want)
 	}
 }
 
 // TestTracerSilentOnFailedValidation: diffs rejected before the algorithm
-// runs (nil trees, schema mismatches) emit no tracer events at all.
+// runs (nil trees, schema mismatches) report no phase and leave the
+// scratch's record empty, even when an earlier diff through the same
+// scratch had filled it.
 func TestTracerSilentOnFailedValidation(t *testing.T) {
-	rec := &recordingTracer{}
+	var seen []telemetry.Phase
+	onPhase := func(p telemetry.Phase) { seen = append(seen, p) }
 	b := exp.NewBuilder()
 	n := b.MustN(exp.Num, int64(1))
+	s := NewScratch()
+	if _, err := New(exp.Schema()).DiffScratch(n, b.MustN(exp.Num, int64(2)), b.Alloc(), s); err != nil {
+		t.Fatal(err)
+	}
+	if s.PhaseTimes().Total() == 0 {
+		t.Fatal("the successful diff filled no phase record")
+	}
 
 	// Nil tree.
-	d := NewWithOptions(exp.Schema(), Options{Tracer: rec})
-	if _, err := d.Diff(nil, n, b.Alloc()); err == nil {
+	d := NewWithOptions(exp.Schema(), Options{OnPhase: onPhase})
+	if _, err := d.DiffScratch(nil, n, b.Alloc(), s); err == nil {
 		t.Fatal("nil-source diff succeeded")
 	}
 	// Schema mismatch: a differ over an empty schema rejects exp trees.
-	d2 := NewWithOptions(sig.NewSchema("empty"), Options{Tracer: rec})
-	if _, err := d2.Diff(n, n, b.Alloc()); err == nil {
+	d2 := NewWithOptions(sig.NewSchema("empty"), Options{OnPhase: onPhase})
+	if _, err := d2.DiffScratch(n, n, b.Alloc(), s); err == nil {
 		t.Fatal("schema-mismatch diff succeeded")
 	}
-	if len(rec.events) != 0 {
-		t.Fatalf("failed diffs emitted %d events, want 0: %+v", len(rec.events), rec.events)
+	if len(seen) != 0 {
+		t.Fatalf("failed diffs reported %d phases, want 0: %v", len(seen), seen)
+	}
+	if s.PhaseTimes() != (telemetry.PhaseTimes{}) {
+		t.Fatalf("failed diffs left a phase record %v", s.PhaseTimes())
 	}
 }
 

@@ -72,7 +72,7 @@ func RunEngineReplay(cfg Config, workers int) *EngineReplayResult {
 }
 
 // RunEngineReplayOn is RunEngineReplay over a caller-supplied engine (any
-// engine over a pylang schema), so observers, tracers, and a live metrics
+// engine over a pylang schema), so observers, span sinks, and a live metrics
 // endpoint wired to that engine see the replay. The result's Snapshot is
 // the engine's per-replay delta (Snapshot.Sub of after and before).
 func RunEngineReplayOn(e *structdiff.Engine, cfg Config) *EngineReplayResult {

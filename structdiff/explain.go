@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/quality"
-	"repro/internal/telemetry"
 	"repro/internal/truediff"
 )
 
@@ -21,10 +20,6 @@ type (
 	// which height, how many candidates were considered, and why losing
 	// subtrees were loaded or unloaded instead of reused.
 	EditProvenance = truediff.EditProvenance
-	// ExplainSink receives explanations (see DiffOptions.Explain);
-	// ExplainCollector is the trivial keep-last sink.
-	ExplainSink      = truediff.ExplainSink
-	ExplainCollector = truediff.ExplainCollector
 	// QualityMetrics is the per-diff conciseness report of
 	// internal/quality: reuse ratio, edits per changed node, script-size
 	// to tree-size ratio, and (on small trees) the optimality gap against
@@ -37,12 +32,12 @@ type (
 // the quadratic computation.
 const DefaultQualityBaselineMaxNodes = quality.DefaultBaselineMaxNodes
 
-// WithExplain turns on per-edit provenance. On an Engine every
-// successful PairResult carries PairResult.Explain (fallback scripts
-// carry none); on Explain/ExplainContext it is implied. The
-// instrumentation is allocation-free when off and never perturbs the
-// emitted script.
-func WithExplain() Option { return func(c *config) { c.explain = true } }
+// WithExplain turns on per-edit provenance: Diff and DiffContext fill
+// Result.Explain, and on an Engine every successful PairResult carries it
+// in PairResult.Explain (fallback scripts carry none); on
+// Explain/ExplainContext it is implied. The instrumentation is
+// allocation-free when off and never perturbs the emitted script.
+func WithExplain() Option { return func(c *config) { c.diff.Explain = true } }
 
 // WithQualityBaseline enables the exact minimal-script baseline on pairs
 // whose trees both have at most maxNodes nodes: DiffStats gain
@@ -83,15 +78,8 @@ func ExplainContext(ctx context.Context, src, dst *Node, opts ...Option) (*Expla
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if cfg.spans != nil {
-		span := telemetry.StartSpan(cfg.spans, telemetry.SpanContextFromContext(ctx), "structdiff.explain")
-		defer span.End()
-		ctx = telemetry.ContextWithTracer(ctx, telemetry.PhaseSpans(cfg.spans, span.Context()))
-	}
-	col := &ExplainCollector{}
-	cfg.diff.Explain = col
-	d := truediff.NewWithOptions(cfg.sch, cfg.diff)
-	res, err := d.DiffScratchProfiled(ctx, src, dst, cfg.alloc, truediff.NewScratch(), ctxCheckpoint(ctx, cfg.timeout))
+	cfg.diff.Explain = true
+	res, err := diffTraced(ctx, cfg, "structdiff.explain", src, dst)
 	if err != nil {
 		return nil, err
 	}
@@ -101,7 +89,7 @@ func ExplainContext(ctx context.Context, src, dst *Node, opts ...Option) (*Expla
 	}
 	return &Explained{
 		Result:     res,
-		Provenance: col.Last,
+		Provenance: res.Explain,
 		Quality:    quality.Measure(src, dst, res.Script, qbase),
 	}, nil
 }

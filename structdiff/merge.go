@@ -102,9 +102,10 @@ func MergeContext(ctx context.Context, base, ours, theirs *Node, opts ...Option)
 		ctx = context.Background()
 	}
 	if cfg.spans != nil {
+		// No phase children: merge.Trees runs its two diffs where the
+		// facade cannot see their phase records.
 		span := telemetry.StartSpan(cfg.spans, telemetry.SpanContextFromContext(ctx), "structdiff.merge")
 		defer span.End()
-		ctx = telemetry.ContextWithTracer(ctx, telemetry.PhaseSpans(cfg.spans, span.Context()))
 	}
 	return merge.Trees(ctx, cfg.sch, base, ours, theirs, cfg.alloc, merge.Options{
 		Policy: cfg.merge,

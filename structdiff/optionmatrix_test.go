@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,20 +11,10 @@ import (
 	"repro/structdiff/langs/exp"
 )
 
-// countingTracer counts span events; it must be concurrency-safe because
-// the matrix runs engines with Workers > 1.
-type countingTracer struct {
-	begins, phases, ends atomic.Int64
-}
-
-func (c *countingTracer) BeginDiff(sourceNodes, targetNodes int)    { c.begins.Add(1) }
-func (c *countingTracer) Phase(p structdiff.Phase, d time.Duration) { c.phases.Add(1) }
-func (c *countingTracer) EndDiff(edits int, wall time.Duration)     { c.ends.Add(1) }
-
 // TestOptionMatrix exercises the facade's engine options as a full cross
-// product — tracer × fallback × per-diff timeout (including zero and
-// invalid negative values) × fault injection — and checks each cell
-// against the documented outcome:
+// product — span tracing (the "tracer" dimension, WithSpans) × fallback ×
+// per-diff timeout (including zero and invalid negative values) × fault
+// injection — and checks each cell against the documented outcome:
 //
 //   - no fault: every pair succeeds, whatever the other options;
 //   - an injected Error fault is an ordinary diff failure: never rescued
@@ -36,8 +25,9 @@ func (c *countingTracer) EndDiff(edits int, wall time.Duration)     { c.ends.Add
 //     deadline: then the pair times out (ErrDiffTimeout) under
 //     FallbackNone and is rescued under FallbackRootReplace;
 //   - zero and negative timeouts disable the deadline rather than erroring;
-//   - an armed tracer sees balanced BeginDiff/EndDiff spans on clean runs
-//     and never more ends than begins on failing ones.
+//   - with spans on, every pair records one engine.diff span, and only a
+//     diff the differ completed adds its four phase spans under it: all
+//     four on clean runs, none when the diff failed or was rescued.
 func TestOptionMatrix(t *testing.T) {
 	const nPairs = 3
 
@@ -126,10 +116,10 @@ func TestOptionMatrix(t *testing.T) {
 							structdiff.WithDiffTimeout(to.d),
 							structdiff.WithCheckpointEvery(1),
 						}
-						var tr *countingTracer
+						var rec *structdiff.SpanRecorder
 						if trc.name == "tracer=on" {
-							tr = &countingTracer{}
-							opts = append(opts, structdiff.WithTracer(tr))
+							rec = structdiff.NewSpanRecorder()
+							opts = append(opts, structdiff.WithSpans(rec))
 						}
 						if ft.fault != nil {
 							opts = append(opts,
@@ -179,14 +169,28 @@ func TestOptionMatrix(t *testing.T) {
 								}
 							}
 						}
-						if tr != nil {
-							begins, ends := tr.begins.Load(), tr.ends.Load()
-							if want == wantOK && (begins != nPairs || ends != nPairs) {
-								t.Fatalf("tracer saw %d begins / %d ends, want %d/%d",
-									begins, ends, nPairs, nPairs)
+						if rec != nil {
+							engineSpans := map[structdiff.SpanID]bool{}
+							var phases []structdiff.Span
+							for _, sp := range rec.Spans() {
+								if sp.Name == "engine.diff" {
+									engineSpans[sp.ID] = true
+								} else {
+									phases = append(phases, sp)
+								}
 							}
-							if ends > begins {
-								t.Fatalf("tracer saw more ends (%d) than begins (%d)", ends, begins)
+							wantPhases := 0
+							if want == wantOK {
+								wantPhases = structdiff.NumPhases * nPairs
+							}
+							if len(engineSpans) != nPairs || len(phases) != wantPhases {
+								t.Fatalf("spans: %d engine.diff / %d phase, want %d/%d",
+									len(engineSpans), len(phases), nPairs, wantPhases)
+							}
+							for _, sp := range phases {
+								if !engineSpans[sp.Parent] {
+									t.Fatalf("phase span %s is not parented on an engine.diff span", sp.Name)
+								}
 							}
 						}
 					})
@@ -207,7 +211,7 @@ func TestOptionsInvalidValues(t *testing.T) {
 		structdiff.WithDiffTimeout(-time.Hour), // negative: disabled
 		structdiff.WithCheckpointEvery(-5),     // negative: default cadence
 		structdiff.WithWorkers(-3),             // negative: GOMAXPROCS
-		structdiff.WithTracer(nil),             // nil tracer: no tracing
+		structdiff.WithSpans(nil),              // nil sink: no tracing
 		structdiff.WithFaultInjection(nil),     // nil injector: no faults
 		structdiff.WithSlowDiffThreshold(-1),   // negative: disabled
 	)

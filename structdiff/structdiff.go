@@ -56,7 +56,6 @@ type config struct {
 	noMemo   bool
 	observer func(DiffEvent)
 	slow     time.Duration
-	slowLog  func(DiffEvent)
 	timeout  time.Duration
 	fallback FallbackMode
 	faults   *faultinject.Injector
@@ -64,7 +63,6 @@ type config struct {
 	logger   *slog.Logger
 	slo      telemetry.SLOConfig
 	merge    merge.Policy
-	explain  bool
 	qbase    int
 }
 
@@ -111,14 +109,6 @@ func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 // measurements; the memo is on by default).
 func WithoutMemo() Option { return func(c *config) { c.noMemo = true } }
 
-// WithTracer attaches a telemetry tracer: every diff emits BeginDiff, one
-// Phase event per truediff step (prepare, shares, select, emit) in order,
-// and EndDiff. It applies to Diff, NewDiffer, and NewEngine; with an
-// engine running Workers > 1 the tracer observes diffs from several
-// goroutines at once, so it must be concurrency-safe. See
-// docs/OBSERVABILITY.md.
-func WithTracer(t Tracer) Option { return func(c *config) { c.diff.Tracer = t } }
-
 // WithObserver registers a per-diff callback on an Engine: after every
 // diff (successful, failed, or short-circuited) the observer receives a
 // DiffEvent with the pair's label, stats (including the per-phase
@@ -128,13 +118,9 @@ func WithObserver(fn func(DiffEvent)) Option { return func(c *config) { c.observ
 
 // WithSlowDiffThreshold enables slow-diff logging on an Engine: completed
 // diffs whose wall time meets or exceeds d are counted (Snapshot.SlowDiffs)
-// and reported — through log, the logger's default destination, unless a
-// custom sink is given via WithSlowDiffLog. Engine entry points only.
+// and logged at warn level through WithLogger's logger, or slog.Default()
+// without one. Engine entry points only.
 func WithSlowDiffThreshold(d time.Duration) Option { return func(c *config) { c.slow = d } }
-
-// WithSlowDiffLog overrides where slow diffs are reported (default: the
-// standard library logger). Only meaningful with WithSlowDiffThreshold.
-func WithSlowDiffLog(fn func(DiffEvent)) Option { return func(c *config) { c.slowLog = fn } }
 
 // WithDiffTimeout bounds each individual diff an Engine runs: a diff still
 // running when its deadline passes aborts at the next cancellation
@@ -181,10 +167,10 @@ func WithProfileLabels() Option { return func(c *config) { c.diff.ProfileLabels 
 func WithSpans(sink SpanSink) Option { return func(c *config) { c.spans = sink } }
 
 // WithLogger routes an Engine's structured diagnostics — slow diffs,
-// failures, fallback rescues — through a log/slog logger instead of the
-// standard library's plain logger. Records carry the pair label, timing,
-// sizes, and trace_id/span_id correlation when tracing is on. Engine
-// entry points only.
+// failures, fallback rescues — through a log/slog logger. Records carry
+// the pair label, timing, sizes, and trace_id/span_id correlation when
+// tracing is on. Without it slow diffs go to slog.Default() and failures
+// and rescues are not logged. Engine entry points only.
 func WithLogger(l *slog.Logger) Option { return func(c *config) { c.logger = l } }
 
 // WithSLO overrides an Engine's rolling-window service-level objectives
@@ -228,13 +214,25 @@ func DiffContext(ctx context.Context, src, dst *Node, opts ...Option) (*Result, 
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	return diffTraced(ctx, cfg, "structdiff.diff", src, dst)
+}
+
+// diffTraced runs one facade diff. Under WithSpans it runs inside a span
+// named name, parented on ctx's trace context, and a diff that completes
+// gets the four phase spans as children, rebuilt from its phase record.
+func diffTraced(ctx context.Context, cfg config, name string, src, dst *Node) (*Result, error) {
+	var span *telemetry.Span
 	if cfg.spans != nil {
-		span := telemetry.StartSpan(cfg.spans, telemetry.SpanContextFromContext(ctx), "structdiff.diff")
+		span = telemetry.StartSpan(cfg.spans, telemetry.SpanContextFromContext(ctx), name)
 		defer span.End()
-		ctx = telemetry.ContextWithTracer(ctx, telemetry.PhaseSpans(cfg.spans, span.Context()))
 	}
+	s := truediff.NewScratch()
 	d := truediff.NewWithOptions(cfg.sch, cfg.diff)
-	return d.DiffScratchProfiled(ctx, src, dst, cfg.alloc, truediff.NewScratch(), ctxCheckpoint(ctx, cfg.timeout))
+	res, err := d.DiffScratchProfiled(ctx, src, dst, cfg.alloc, s, ctxCheckpoint(ctx, cfg.timeout))
+	if err == nil && span != nil {
+		telemetry.PhaseSpans(cfg.spans, span.Context(), time.Now(), s.PhaseTimes())
+	}
+	return res, err
 }
 
 // WithTraceContext returns a context carrying sc as the parent for spans
@@ -398,14 +396,13 @@ func NewEngine(sch *Schema, opts ...Option) (*Engine, error) {
 		DisableMemo:       cfg.noMemo,
 		Observer:          cfg.observer,
 		SlowDiffThreshold: cfg.slow,
-		SlowDiffLog:       cfg.slowLog,
 		DiffTimeout:       cfg.timeout,
 		Fallback:          cfg.fallback,
 		Faults:            cfg.faults,
 		Spans:             cfg.spans,
 		Logger:            cfg.logger,
 		SLO:               cfg.slo,
-		Explain:           cfg.explain,
+		Explain:           cfg.diff.Explain,
 		QualityBaseline:   cfg.qbase,
 	}), nil
 }

@@ -3,6 +3,7 @@ package structdiff_test
 import (
 	"context"
 	"testing"
+	"time"
 
 	"repro/structdiff"
 	"repro/structdiff/langs/exp"
@@ -47,6 +48,60 @@ func TestDiffContextSpans(t *testing.T) {
 			t.Errorf("phase %s trace/parent = %s/%s, want %s/%s",
 				s.Name, s.Trace, s.Parent, parent.Trace, root.ID)
 		}
+	}
+}
+
+// TestFacadePhaseSpansTileParent: DiffContext and ExplainContext rebuild
+// their phase spans from the diff's record as four back-to-back spans in
+// phase order inside the facade span.
+func TestFacadePhaseSpansTileParent(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(ctx context.Context, src, dst *structdiff.Node, opts ...structdiff.Option) error
+	}{
+		{"structdiff.diff", func(ctx context.Context, src, dst *structdiff.Node, opts ...structdiff.Option) error {
+			_, err := structdiff.DiffContext(ctx, src, dst, opts...)
+			return err
+		}},
+		{"structdiff.explain", func(ctx context.Context, src, dst *structdiff.Node, opts ...structdiff.Option) error {
+			_, err := structdiff.ExplainContext(ctx, src, dst, opts...)
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src, dst, sch, alloc := buildPair(t)
+			rec := structdiff.NewSpanRecorder()
+			if err := tc.run(context.Background(), src, dst,
+				structdiff.WithSchema(sch), structdiff.WithAllocator(alloc), structdiff.WithSpans(rec)); err != nil {
+				t.Fatal(err)
+			}
+			spans := rec.Spans()
+			if len(spans) != 1+structdiff.NumPhases {
+				t.Fatalf("recorded %d spans, want %d", len(spans), 1+structdiff.NumPhases)
+			}
+			// Phase spans complete in order, before the facade span.
+			root, ph := spans[len(spans)-1], spans[:structdiff.NumPhases]
+			if root.Name != tc.name {
+				t.Fatalf("last span = %s, want %s", root.Name, tc.name)
+			}
+			var total time.Duration
+			for p, s := range ph {
+				if want := "truediff." + structdiff.Phase(p).String(); s.Name != want || s.Parent != root.ID {
+					t.Errorf("phase span %d = %s under %s, want %s under %s", p, s.Name, s.Parent, want, root.ID)
+				}
+				if s.Duration() <= 0 {
+					t.Errorf("%s has duration %v", s.Name, s.Duration())
+				}
+				if p > 0 && !s.Start.Equal(ph[p-1].Stop) {
+					t.Errorf("%s starts %v after %s ends", s.Name, s.Start.Sub(ph[p-1].Stop), ph[p-1].Name)
+				}
+				total += s.Duration()
+			}
+			if ph[0].Start.Before(root.Start) || ph[len(ph)-1].Stop.After(root.Stop) || total > root.Duration() {
+				t.Errorf("phases [%v, %v] spill out of %s [%v, %v]",
+					ph[0].Start, ph[len(ph)-1].Stop, root.Name, root.Start, root.Stop)
+			}
+		})
 	}
 }
 
