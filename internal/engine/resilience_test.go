@@ -94,19 +94,20 @@ func TestDiffTimeout(t *testing.T) {
 // TestFallbackRootReplace exercises graceful degradation on both rescue
 // paths — a panic and a timeout — and checks the synthesized script
 // patches source into target, the pair reports Fallback, and the failure
-// counters still record the underlying failure.
+// counters still record the underlying failure. The timeout is an injected
+// checkpoint error, not a wall-clock deadline, so host load cannot make a
+// third pair time out; TestDiffTimeout covers the real deadline.
 func TestFallbackRootReplace(t *testing.T) {
 	tps := makePairs(t, 4)
 	inj := faultinject.New(1,
 		faultinject.Fault{Site: FaultSiteDiff, Kind: faultinject.Panic, After: 1, Times: 1},
-		faultinject.Fault{Site: FaultSiteCheckpoint, Kind: faultinject.Delay, Delay: 20 * time.Millisecond, After: 2, Times: 1},
+		faultinject.Fault{Site: FaultSiteCheckpoint, Kind: faultinject.Error, Err: derrors.ErrDiffTimeout, After: 2, Times: 1},
 	)
 	e := New(exp.Schema(), Config{
-		Workers:     1,
-		Fallback:    FallbackRootReplace,
-		DiffTimeout: 5 * time.Millisecond,
-		Diff:        truediff.Options{CheckpointEvery: 1},
-		Faults:      inj,
+		Workers:  1,
+		Fallback: FallbackRootReplace,
+		Diff:     truediff.Options{CheckpointEvery: 1},
+		Faults:   inj,
 	})
 	results, err := e.DiffBatch(context.Background(), enginePairs(tps))
 	if err != nil {

@@ -10,10 +10,16 @@ import (
 
 // Factory constructs Python AST nodes as typed trees. It wraps a schema and
 // a URI allocator; one factory typically serves one document (or one
-// synthetic repository), so URIs stay unique across versions.
+// synthetic repository), so URIs stay unique across versions. It also holds
+// Parse's statement cache: the top-level statements of parsed sources,
+// keyed by their exact text and bounded by stmtCacheBytes, so re-parsing a
+// lightly edited version clones the unchanged statements. A factory is for
+// one goroutine at a time, as its allocator already is.
 type Factory struct {
 	sch   *sig.Schema
 	alloc *uri.Allocator
+	stmts stmtCache
+	toks  []Token // Parse's token buffer, reused from one parse to the next
 }
 
 // NewFactory returns a factory over a fresh Python schema and allocator.

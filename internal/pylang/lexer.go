@@ -94,7 +94,13 @@ func (e *LexError) Error() string {
 // continuation inside brackets, and indentation (INDENT/DEDENT tokens).
 // Tabs in indentation count as 8 columns, like CPython's tokenizer.
 func Lex(src string) ([]Token, error) {
-	l := &lexer{src: src, line: 1, col: 1, indents: []int{0}}
+	return lexInto(src, nil)
+}
+
+// lexInto is Lex appending the tokens to buf[:0], so a caller lexing one
+// document after another can reuse one buffer.
+func lexInto(src string, buf []Token) ([]Token, error) {
+	l := &lexer{src: src, line: 1, col: 1, indents: []int{0}, toks: buf[:0]}
 	if err := l.run(); err != nil {
 		return nil, err
 	}

@@ -20,13 +20,16 @@ func (e *ParseError) Error() string {
 // Parse lexes and parses Python source into a typed module tree built
 // through the factory. URIs are drawn from the factory's allocator, so
 // parsing successive versions of a document with one factory keeps URIs
-// unique across versions.
+// unique across versions. A top-level statement whose exact text the
+// factory has parsed before is cloned from its statement cache instead of
+// parsed again; the tree is Equal to the one a fresh factory would build.
 func Parse(src string, f *Factory) (mod *tree.Node, err error) {
-	toks, err := Lex(src)
+	toks, err := lexInto(src, f.toks)
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks, f: f}
+	f.toks = toks
+	p := &parser{src: src, toks: toks, f: f, line: 1}
 	defer func() {
 		if r := recover(); r != nil {
 			if pe, ok := r.(*ParseError); ok {
@@ -48,9 +51,12 @@ func ParseNew(src string) (*tree.Node, *Factory, error) {
 }
 
 type parser struct {
+	src  string
 	toks []Token
 	pos  int
 	f    *Factory
+	// line and lineOff are lineStart's cursor: a line and its byte offset.
+	line, lineOff int
 }
 
 func (p *parser) cur() Token  { return p.toks[p.pos] }
@@ -93,10 +99,37 @@ func (p *parser) expectName() string {
 }
 
 // module := stmt* EOF
+//
+// Each top-level chunk (see chunkStarts) is looked up in the factory's
+// statement cache by its source text. A hit is cloned with fresh URIs:
+// returning the cached nodes would let two parses, or two equal chunks of
+// one module, share nodes. A miss is parsed and cached when its statement
+// ends exactly where the next chunk starts.
 func (p *parser) module() *tree.Node {
+	starts := chunkStarts(p.toks)
 	var stmts []*tree.Node
-	for !p.at(TokEOF, "") {
+	for k := 0; !p.at(TokEOF, ""); {
+		for starts[k] < p.pos {
+			k++
+		}
+		if starts[k] != p.pos { // only an ill-formed module gets here
+			stmts = append(stmts, p.stmt()...)
+			continue
+		}
+		end := starts[k+1]
+		key := p.chunkKey(p.pos, end)
+		if cached, ok := p.f.stmts.get(key); ok {
+			for _, s := range cached {
+				stmts = append(stmts, tree.CloneKeepDigests(s, p.f.alloc))
+			}
+			p.pos = end
+			continue
+		}
+		first := len(stmts)
 		stmts = append(stmts, p.stmt()...)
+		if p.pos == end {
+			p.f.stmts.put(key, append([]*tree.Node(nil), stmts[first:]...))
+		}
 	}
 	return p.f.Module(p.f.StmtList(stmts...))
 }

@@ -181,21 +181,30 @@ func HashedWith(n *Node, kind HashKind) bool {
 // original's by construction. Valid only when n already carries digests of
 // the desired kind (check with HashedWith); the engine uses it to admit
 // pre-hashed trees into its store without paying for hashing at all. The
-// copy keeps n's schema stamp.
+// copy keeps n's schema stamp. URIs are drawn in postorder, as building the
+// tree bottom-up draws them.
+//
+// The copy's nodes and kid slices come from two allocations, and it shares
+// n's literal slices, which no one writes once a node is built. A part of
+// the copy that outlives the rest therefore keeps the whole copy alive.
 func CloneKeepDigests(n *Node, alloc *uri.Allocator) *Node {
-	kids := make([]*Node, len(n.Kids))
-	for i, k := range n.Kids {
-		kids[i] = CloneKeepDigests(k, alloc)
-	}
-	c := &Node{
-		Tag:    n.Tag,
-		URI:    alloc.Fresh(),
-		Kids:   kids,
-		Lits:   append([]any(nil), n.Lits...),
-		digest: n.digest,
-	}
-	c.measure(n.schema)
+	c, _, _ := cloneKeepDigests(n, alloc, make([]Node, n.size), make([]*Node, n.size-1))
 	return c
+}
+
+// cloneKeepDigests copies n into nodes[0] and its kid slices into the
+// front of kids, and returns the copy with what is left of both.
+func cloneKeepDigests(n *Node, alloc *uri.Allocator, nodes []Node, kids []*Node) (*Node, []Node, []*Node) {
+	c := &nodes[0]
+	nodes = nodes[1:]
+	ks := kids[:len(n.Kids):len(n.Kids)]
+	kids = kids[len(n.Kids):]
+	for i, k := range n.Kids {
+		ks[i], nodes, kids = cloneKeepDigests(k, alloc, nodes, kids)
+	}
+	*c = Node{Tag: n.Tag, URI: alloc.Fresh(), Kids: ks, Lits: n.Lits, digest: n.digest}
+	c.measure(n.schema)
+	return c, nodes, kids
 }
 
 // appendStructPre appends the pre-image of n's structure digest: the tag
